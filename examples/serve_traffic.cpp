@@ -61,7 +61,7 @@ main(int argc, char **argv)
     std::printf("traffic mix: 70%% %s + 30%% %s, open-loop Poisson, "
                 "fresh server per rate\n\n",
                 deit.str().c_str(), levit.str().c_str());
-    std::printf("%9s %9s %9s %9s %9s %9s %9s\n", "rate/s", "achieved",
+    std::printf("%9s %9s %9s %9s %9s %9s %9s\n", "rate/s", "completed",
                 "p50 ms", "p95 ms", "p99 ms", "batch", "queue");
 
     uint64_t totalServed = 0;
@@ -85,7 +85,7 @@ main(int argc, char **argv)
         const serve::StatsSnapshot s = server.snapshot();
 
         std::printf("%9.0f %9.0f %9.3f %9.3f %9.3f %9.2f %9.2f\n",
-                    rep.offeredRatePerSec, rep.achievedRps,
+                    rep.offeredRatePerSec, rep.completionRps,
                     s.wallP50 * 1e3, s.wallP95 * 1e3, s.wallP99 * 1e3,
                     s.meanBatchSize, s.meanQueueDepth);
 

@@ -1,13 +1,8 @@
 #include "compiler.h"
 
-#include <algorithm>
-#include <cmath>
 #include <ostream>
 
 #include "common/logging.h"
-#include "sim/dram.h"
-#include "sim/energy.h"
-#include "sim/tile_scheduler.h"
 
 namespace vitcod::accel {
 
@@ -61,6 +56,38 @@ Program::count(Opcode op) const
     for (const auto &i : code)
         n += i.op == op;
     return n;
+}
+
+Program::Totals
+Program::totals() const
+{
+    Totals t;
+    for (const auto &i : code) {
+        switch (i.op) {
+          case Opcode::LoadIndex:
+          case Opcode::LoadTile:
+            t.dramRead += i.arg0;
+            break;
+          case Opcode::StoreTile:
+            t.dramWrite += i.arg0;
+            break;
+          case Opcode::Decode:
+          case Opcode::Encode:
+          case Opcode::SddmmDense:
+          case Opcode::SpmmDense:
+          case Opcode::Gemm:
+          case Opcode::Predict:
+            t.macs += i.arg0;
+            break;
+          case Opcode::SddmmSparse:
+          case Opcode::SpmmSparse:
+            t.macs += i.arg1;
+            break;
+          default:
+            break;
+        }
+    }
+    return t;
 }
 
 void
@@ -203,173 +230,6 @@ Compiler::compile(const core::ModelPlan &plan, bool end_to_end) const
     const core::schedule::ScheduleBuilder builder(
         {.hw = scheduleParams(cfg_), .buildLayouts = false});
     return compile(builder.build(plan, end_to_end));
-}
-
-Interpreter::Interpreter(ViTCoDConfig cfg) : cfg_(std::move(cfg)) {}
-
-RunStats
-Interpreter::execute(const Program &prog) const
-{
-    const sim::DramModel dram(cfg_.dram);
-    const size_t mpl = cfg_.macArray.macsPerLine;
-    const size_t all_lines = cfg_.macArray.macLines;
-    const auto eb = static_cast<double>(cfg_.elemBytes);
-
-    RunStats rs;
-    rs.device = cfg_.name + "/interp";
-    rs.model = prog.modelName;
-
-    // Per-layer groups of phase tiles: the double-buffer recurrence
-    // is applied within a layer (as in the analytic simulator) and
-    // layers execute back-to-back.
-    Cycles total = 0;
-    Cycles compute = 0;
-    Cycles preprocess = 0;
-    MacOps macs = 0;
-
-    std::vector<sim::TileCost> layer_tiles;
-    uint32_t cur_layer = prog.code.empty() ? 0 : prog.code[0].layer;
-
-    // Phase accumulation state. Load/store bytes convert to cycles
-    // once per phase so burst quantization matches the analytic
-    // simulator's whole-phase streams.
-    Bytes ph_load_bytes = 0, ph_store_bytes = 0;
-    Cycles ph_load_extra = 0; // gather latency
-    Cycles ph_dense = 0, ph_sparse = 0, ph_ae = 0, ph_elwise = 0;
-    Cycles ph_extra = 0; // reconfiguration etc.
-    size_t l_d = all_lines;
-
-    auto dense_cycles = [&](MacOps m, size_t use_lines,
-                            double eff) -> Cycles {
-        if (m == 0 || use_lines == 0)
-            return 0;
-        return static_cast<Cycles>(std::ceil(
-            static_cast<double>(ceilDiv(m, use_lines * mpl)) / eff));
-    };
-
-    auto close_phase = [&]() {
-        const Cycles ph_compute =
-            std::max({ph_dense, ph_sparse, ph_ae, ph_elwise}) +
-            ph_extra;
-        layer_tiles.push_back(
-            {dram.streamCycles(ph_load_bytes) + ph_load_extra,
-             ph_compute, dram.streamCycles(ph_store_bytes)});
-        compute += ph_compute;
-        ph_load_bytes = ph_store_bytes = 0;
-        ph_load_extra = 0;
-        ph_dense = ph_sparse = ph_ae = ph_elwise = 0;
-        ph_extra = 0;
-    };
-
-    auto close_layer = [&]() {
-        total += sim::doubleBufferedCycles(layer_tiles);
-        layer_tiles.clear();
-    };
-
-    for (const auto &ins : prog.code) {
-        if (ins.layer != cur_layer) {
-            close_layer();
-            cur_layer = ins.layer;
-        }
-        switch (ins.op) {
-          case Opcode::ConfigLines:
-            l_d = ins.arg0;
-            break;
-          case Opcode::SetAccumMode:
-            if (ins.arg0 == 1)
-                ph_extra += cfg_.reconfigCycles;
-            break;
-          case Opcode::LoadIndex:
-          case Opcode::LoadTile:
-            ph_load_bytes += ins.arg0;
-            rs.dramRead += ins.arg0;
-            break;
-          case Opcode::GatherRows:
-            ph_load_extra += dram.gatherCycles(ins.arg0, ins.arg1);
-            break;
-          case Opcode::Decode:
-            ph_ae = std::max(
-                ph_ae,
-                ceilDiv(ins.arg0,
-                        static_cast<MacOps>(
-                            static_cast<double>(cfg_.aeLines * mpl) *
-                            cfg_.aeDecodeRate)));
-            macs += ins.arg0;
-            break;
-          case Opcode::Encode:
-            ph_ae = std::max(ph_ae,
-                             ceilDiv(ins.arg0, cfg_.aeLines * mpl));
-            macs += ins.arg0;
-            break;
-          case Opcode::SddmmDense:
-          case Opcode::SpmmDense:
-            ph_dense +=
-                dense_cycles(ins.arg0, l_d, cfg_.denseEff);
-            macs += ins.arg0;
-            break;
-          case Opcode::SddmmSparse:
-          case Opcode::SpmmSparse:
-            ph_sparse += ins.arg0; // statically scheduled cycles
-            macs += ins.arg1;
-            break;
-          case Opcode::Softmax:
-            ph_elwise += ceilDiv(2 * ins.arg0,
-                                 cfg_.softmaxLanesPerEngine * 2);
-            break;
-          case Opcode::Gemm:
-            ph_dense +=
-                dense_cycles(ins.arg0, all_lines, cfg_.gemmEff);
-            macs += ins.arg0;
-            break;
-          case Opcode::Elementwise:
-            ph_elwise += static_cast<Cycles>(
-                static_cast<double>(ins.arg0) /
-                static_cast<double>(cfg_.softmaxLanesPerEngine * 2));
-            break;
-          case Opcode::Predict: {
-            const Cycles c =
-                dense_cycles(ins.arg0, all_lines, cfg_.denseEff) +
-                ins.arg1;
-            total += c;      // serial preprocessing
-            preprocess += c;
-            macs += ins.arg0;
-            break;
-          }
-          case Opcode::StoreTile:
-            ph_store_bytes += ins.arg0;
-            rs.dramWrite += ins.arg0;
-            break;
-          case Opcode::Barrier:
-            close_phase();
-            break;
-          default:
-            panic("unhandled opcode");
-        }
-    }
-    if (ph_load_bytes || ph_dense || ph_sparse || ph_ae ||
-        ph_elwise || ph_store_bytes || ph_extra || ph_load_extra)
-        close_phase();
-    close_layer();
-
-    rs.cycles = total;
-    rs.seconds = cyclesToSeconds(total, cfg_.freqGhz);
-    rs.computeSeconds = cyclesToSeconds(compute, cfg_.freqGhz);
-    rs.preprocessSeconds = cyclesToSeconds(preprocess, cfg_.freqGhz);
-    rs.dataMoveSeconds =
-        rs.seconds - rs.computeSeconds - rs.preprocessSeconds;
-    rs.macs = macs;
-    rs.sramRead = static_cast<Bytes>(
-        static_cast<double>(macs) * 2.0 * eb / 4.0);
-    rs.sramWrite =
-        static_cast<Bytes>(static_cast<double>(macs) * eb / 8.0);
-    const sim::EnergyModel em(cfg_.energy);
-    rs.energy = em.compute(macs, rs.sramRead, rs.sramWrite,
-                           rs.dramTotal(), total);
-    const double offered = static_cast<double>(total) *
-                           static_cast<double>(all_lines * mpl);
-    rs.utilization =
-        offered > 0 ? static_cast<double>(macs) / offered : 0.0;
-    return rs;
 }
 
 } // namespace vitcod::accel

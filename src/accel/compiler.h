@@ -6,10 +6,10 @@
  * buffer needs, dataflow phases), and a *compiler* lowers it into
  * the instruction stream that reconfigures and drives the
  * accelerator — "one-time compilation cost for each task" (Sec.
- * V-B3). An Interpreter executes a compiled Program against the
- * same simulation primitives the analytic simulator uses; tests
- * assert the two agree cycle-for-cycle, which validates the static
- * schedule end-to-end.
+ * V-B3). The stream is not priced on its own: ViTCoDAccelerator
+ * prices the same Schedule IR the compiler lowers, and the
+ * stream's DRAM traffic and MAC operands (Program::totals) equal
+ * that price's RunStats by construction.
  */
 
 #ifndef VITCOD_ACCEL_COMPILER_H
@@ -39,7 +39,7 @@ enum class Opcode : uint8_t
      * processed densely: all n x N_gt entries). arg1 = the subset
      * falling on mask nonzeros — what a value-level execution
      * performs; carried so the instruction stream totals both MAC
-     * currencies (ignored by the interpreter's cycle pricing).
+     * currencies (Program::totals counts arg0).
      */
     SddmmDense,
     SddmmSparse,  //!< arg0 = precomputed engine cycles, arg1 = MACs
@@ -75,6 +75,19 @@ struct Program
     /** Number of instructions with opcode @p op. */
     size_t count(Opcode op) const;
 
+    /** DRAM traffic and MAC operands the stream carries. */
+    struct Totals
+    {
+        Bytes dramRead = 0;  //!< LD.IDX + LD.TILE bytes
+        Bytes dramWrite = 0; //!< ST.TILE bytes
+        /** arg0 of every MAC-issuing op, except the sparser-engine
+         *  ops, whose arg0 is cycles and arg1 their MACs. */
+        MacOps macs = 0;
+    };
+
+    /** Sum the stream's operands (the RunStats currencies). */
+    Totals totals() const;
+
     /** Human-readable disassembly. */
     void disassemble(std::ostream &os, size_t max_instrs = 0) const;
 };
@@ -84,9 +97,9 @@ struct Program
  * Schedule IR the network parser (core::schedule::ScheduleBuilder)
  * produced — into the instruction stream. Every instruction operand
  * is a field of the IR; the compiler re-derives nothing, which is
- * what keeps it cycle-for-cycle consistent with the analytic
- * simulator pricing the same schedule. The (plan, end_to_end)
- * overload is the one-call convenience: build + lower.
+ * what keeps the stream consistent with the simulator pricing the
+ * same schedule. The (plan, end_to_end) overload is the one-call
+ * convenience: build + lower.
  */
 class Compiler
 {
@@ -111,24 +124,6 @@ class Compiler
     void emitDenseBlock(
         Program &prog, const core::schedule::LayerSchedule &ls) const;
 
-    ViTCoDConfig cfg_;
-};
-
-/**
- * Executes a Program on the simulation primitives (MAC array, DRAM
- * channel, double-buffered phase schedule) and reports RunStats.
- * Within a phase (between Barriers), engines run concurrently; the
- * phase cost is max(load-side, compute-side per engine, store-side)
- * folded through the standard double-buffer recurrence.
- */
-class Interpreter
-{
-  public:
-    explicit Interpreter(ViTCoDConfig cfg = {});
-
-    RunStats execute(const Program &prog) const;
-
-  private:
     ViTCoDConfig cfg_;
 };
 

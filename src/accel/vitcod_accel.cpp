@@ -274,7 +274,7 @@ ViTCoDAccelerator::finalize(const core::schedule::ModelSchedule &sched,
         compute += st.sddmmCompute + st.softmaxCompute +
                    st.spmmCompute;
         preprocess += st.prediction;
-        macs += st.attentionMacs + st.decodeMacs;
+        macs += st.attentionMacs + st.decodeMacs + ls.predictMacs;
         rs.dramRead += st.dramRead;
         rs.dramWrite += st.dramWrite;
         if (pipelined)

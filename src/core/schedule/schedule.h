@@ -12,10 +12,10 @@
  *   - the ModelExecutor/KernelEngine run real kernels in the
  *     schedule's visit order through its prebuilt mask layouts.
  *
- * Because every consumer reads the same numbers, the compiler agrees
- * with the simulator cycle-for-cycle and the runtime's executed MACs
- * equal the simulator's priced MACs by construction — the three-way
- * invariant tests/schedule/ pins.
+ * Because every consumer reads the same numbers, the instruction
+ * stream carries exactly the simulator's DRAM bytes and MACs, and
+ * the runtime's executed MACs equal the simulator's priced MACs by
+ * construction — the three-way invariant tests/schedule/ pins.
  *
  * Schedules serialize to a line-oriented text document (write/read)
  * with a golden fixture under tests/data/, same --update-goldens

@@ -7,7 +7,7 @@
  *  - the per-request simulated time of a plan is memoized for
  *    simulator backends (they are deterministic in (plan, config),
  *    so one run per task per backend suffices; batches scale it);
- *    backends that really execute kernels (CPUKernel) opt out via
+ *    backends that really execute work (ModelExec) opt out via
  *    memoizeRuns() and run — and re-time — every batch;
  *  - switching a backend between plans pays the plan's
  *    weightLoadSeconds (stream the new model's weights), which is
@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "accel/compiler.h"
 #include "accel/device.h"
 #include "core/model_exec/model_executor.h"
 #include "linalg/engine/engine.h"
@@ -74,7 +73,7 @@ class ServeBackend
 
     /**
      * Memoize runOnce per plan key? True for deterministic
-     * simulators. Backends that really execute work (CPUKernel)
+     * simulators. Backends that really execute work (ModelExec)
      * return false so every batch runs — and times — the kernels.
      */
     virtual bool memoizeRuns() const { return true; }
@@ -87,49 +86,19 @@ class ServeBackend
 };
 
 /**
- * The ViTCoD accelerator as a serving backend: executes the cached,
- * shared immutable Program through the instruction Interpreter — the
- * compile step never runs on the serving fast path.
+ * The ViTCoD accelerator as a serving backend: charges each request
+ * the plan's simEstimate, the price of its Schedule IR on the
+ * PlanCache's hardware, so a worker charges exactly what admission
+ * predicted and nothing is priced on the serving fast path.
  */
 class ViTCoDServeBackend : public ServeBackend
 {
   public:
-    explicit ViTCoDServeBackend(accel::ViTCoDConfig cfg = {});
+    /** @p cfg supplies only the backend's name and clock. */
+    explicit ViTCoDServeBackend(const accel::ViTCoDConfig &cfg = {});
 
   protected:
     accel::RunStats runOnce(const CompiledPlan &cp) const override;
-
-  private:
-    accel::Interpreter interp_;
-};
-
-/**
- * Host-CPU functional backend: actually executes every head's
- * SDDMM -> masked softmax -> SpMM through the KernelEngine on
- * deterministic synthetic Q/K/V, and reports the measured wall time
- * as the serving cost. Unlike the analytic simulators this backend
- * puts the kernel engine itself on the serving hot path — it is the
- * target the perf-regression CI watches end to end.
- */
-class KernelServeBackend : public ServeBackend
-{
-  public:
-    /**
-     * @param eng Kernel executor; defaults to the shared
-     *        Auto-dispatch engine.
-     */
-    explicit KernelServeBackend(
-        const linalg::engine::KernelEngine *eng =
-            &linalg::engine::KernelEngine::shared());
-
-  protected:
-    accel::RunStats runOnce(const CompiledPlan &cp) const override;
-
-    /** Real execution: never replay a stale wall-time measurement. */
-    bool memoizeRuns() const override { return false; }
-
-  private:
-    const linalg::engine::KernelEngine *engine_;
 };
 
 /**
@@ -137,8 +106,7 @@ class KernelServeBackend : public ServeBackend
  * N-layer forward pass (patch embed -> every transformer layer with
  * per-head sparse attention -> classifier) through a ModelExecutor,
  * reporting measured wall time — the end-to-end latency quantity the
- * paper's Fig. 15/17 speedups are about, where CPUKernel only times
- * isolated attention blocks.
+ * paper's Fig. 15/17 speedups are about.
  *
  * Per plan key the backend keeps a resident executor (plan copy,
  * deterministic random weights, warm BufferArena + mask-structure
@@ -226,11 +194,10 @@ class DeviceServeBackend : public ServeBackend
 
 /**
  * Backend factory by spec name: "ViTCoD", "CPU", "GPU", "EdgeGPU",
- * "SpAtten", "Sanger", "CPUKernel" (functional kernel-engine
- * execution on the host), "ModelExec" (whole-model forward passes
- * through the ModelExecutor). ViTCoD backends compile-share via
- * @p hw, which must match the PlanCache's config. fatal() on
- * unknown specs.
+ * "SpAtten", "Sanger", "ModelExec" (whole-model forward passes
+ * through the ModelExecutor). A ViTCoD backend takes only its name
+ * and clock from @p hw; it charges the plan's simEstimate, which the
+ * PlanCache priced on its own config. fatal() on unknown specs.
  */
 std::unique_ptr<ServeBackend>
 makeServeBackend(const std::string &spec,

@@ -221,7 +221,6 @@ runTraffic(InferenceServer &server, const TrafficConfig &cfg)
             ? static_cast<double>(rep.submitted - rep.shed) /
                   rep.durationSeconds
             : 0.0;
-    rep.achievedRps = rep.completionRps;
     rep.shedRate = rep.submitted > 0
                        ? static_cast<double>(rep.shed) /
                              static_cast<double>(rep.submitted)

@@ -124,8 +124,6 @@ struct TrafficReport
     double durationSeconds = 0;
     /** (submitted - shed) / durationSeconds — completion rate. */
     double completionRps = 0;
-    /** Legacy alias of completionRps. */
-    double achievedRps = 0;
 
     /** shed / submitted (0 when nothing was offered). */
     double shedRate = 0;

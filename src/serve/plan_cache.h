@@ -2,7 +2,7 @@
  * @file
  * Shared, thread-safe cache of compiled serving plans. Each distinct
  * PlanKey is built exactly once — the ViTCoD algorithm pipeline
- * (Fig. 10) plus the instruction compiler (Fig. 14) both run on the
+ * (Fig. 10) plus the Schedule IR build and its pricing run on the
  * first request for a task — and the resulting immutable
  * CompiledPlan is shared by reference across every worker thereafter
  * ("one-time compilation cost for each task", Sec. V-B3).
@@ -23,7 +23,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "accel/compiler.h"
+#include "accel/vitcod_accel.h"
 #include "core/pipeline.h"
 #include "serve/request.h"
 
@@ -37,18 +37,16 @@ struct CompiledPlan
 
     /**
      * The compiled Schedule IR: masks scanned and the static
-     * schedule derived exactly once per task. The instruction
-     * stream below is lowered from it, the simulated estimate is
-     * priced from it, and ModelExec workers execute from its
-     * per-head layouts.
+     * schedule derived exactly once per task. The simulated
+     * estimate is priced from it, and ModelExec workers execute
+     * from its per-head layouts.
      */
     core::schedule::ModelSchedule schedule;
 
-    accel::Program program;    //!< instruction stream (ViTCoD backend)
-
     /**
      * ViTCoD-simulated cost of one inference of this plan (priced
-     * from the schedule at compile time). ServerStats reports it
+     * from the schedule at compile time). Admission predicts from
+     * it, ViTCoD workers charge it, and ServerStats reports it
      * against each backend's measured per-request latency.
      */
     accel::RunStats simEstimate;
@@ -103,7 +101,8 @@ class PlanCache
     };
 
     /**
-     * @param hw Hardware configuration the Programs are compiled for.
+     * @param hw Hardware configuration the plans are scheduled and
+     *        priced for.
      * @param capacity Max resident plans; 0 = unbounded.
      */
     explicit PlanCache(accel::ViTCoDConfig hw = {}, size_t capacity = 0);

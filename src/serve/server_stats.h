@@ -94,10 +94,11 @@ struct StatsSnapshot
      * Per-plan predicted-vs-measured latency. `predicted` is the
      * PlanCache's schedule-derived ViTCoD simulation of one
      * inference; `measured` is what the serving backends actually
-     * reported per request (interpreter time for simulator
-     * backends — which matches the prediction cycle-for-cycle — or
-     * wall time for real-execution backends). The ratio is the
-     * honesty check the shared Schedule IR exists to enable.
+     * reported per request (the prediction itself for ViTCoD
+     * backends, a device model's own price for the other
+     * simulators, or wall time for real-execution backends). The
+     * ratio is the honesty check the shared Schedule IR exists to
+     * enable.
      */
     struct PlanLatency
     {

@@ -3,8 +3,8 @@
  * The ModelExec serving backend runs whole-model forward passes:
  * nonzero wall time, full-model MAC accounting (projections + MLP +
  * classifier, not just attention), a resident per-plan executor
- * whose arena never grows in steady state, and end-to-end traffic
- * through a WorkerPool-backed server.
+ * whose arena never grows in steady state, one fresh execution per
+ * batch, and end-to-end traffic through a WorkerPool-backed server.
  */
 
 #include <gtest/gtest.h>
@@ -38,8 +38,8 @@ TEST(ModelExecServeBackend, RunsFullForwardAndAccountsModelMacs)
     EXPECT_GT(r.stats.seconds, 0.0);
     EXPECT_TRUE(r.switched); // first batch loads weights
 
-    // Whole-model MACs dwarf the attention-only count CPUKernel
-    // reports: QKV/output projections and the MLP dominate DeiT.
+    // Whole-model MACs dwarf the attention-only count: QKV/output
+    // projections and the MLP dominate DeiT.
     MacOps attn_only = 0;
     for (const auto &hp : cp->plan.heads) {
         const auto dk = cp->plan.model.stages.front().headDim;
@@ -73,6 +73,26 @@ TEST(ModelExecServeBackend, KeepsResidentExecutorAndTraces)
     EXPECT_GT(backend.lastTrace().dispatch.sddmmCsr +
                   backend.lastTrace().dispatch.sddmmCsc,
               0u);
+}
+
+TEST(ModelExecServeBackend, EveryBatchExecutesOnce)
+{
+    PlanCache cache;
+    const auto cp = cache.get(tinyKey());
+    const linalg::engine::KernelEngine eng;
+    ModelExecServeBackend backend(&eng);
+
+    // Real execution is never memoized: each batch runs one fresh
+    // forward (no more: n back-to-back requests scale it) and is
+    // charged n times that forward's own measurement.
+    (void)backend.runBatch(*cp, 1);
+    const uint64_t one = eng.stats().sddmmCsr + eng.stats().sddmmCsc;
+    ASSERT_GT(one, 0u);
+    const auto four = backend.runBatch(*cp, 4);
+    EXPECT_EQ(eng.stats().sddmmCsr + eng.stats().sddmmCsc, 2 * one);
+    EXPECT_FALSE(four.switched);
+    EXPECT_GT(four.perRequestSeconds, 0.0);
+    EXPECT_DOUBLE_EQ(four.stats.seconds, four.perRequestSeconds * 4);
 }
 
 TEST(ModelExecServeBackend, ServesTrafficInMixedPool)

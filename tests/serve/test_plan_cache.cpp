@@ -48,7 +48,7 @@ TEST(PlanCache, CompiledPlanIsPopulated)
     PlanCache cache;
     const auto cp = cache.get(tinyKey(0.9));
     EXPECT_FALSE(cp->plan.heads.empty());
-    EXPECT_FALSE(cp->program.code.empty());
+    EXPECT_FALSE(cp->schedule.layers.empty());
     EXPECT_GT(cp->weightLoadSeconds, 0.0);
     EXPECT_GT(cache.stats().compileWallSeconds, 0.0);
 }
@@ -123,12 +123,12 @@ TEST(PlanCache, CompiledPlanCarriesScheduleAndSimEstimate)
             EXPECT_EQ(hs.layout.rowPtr.size(), hs.tokens + 1);
     }
 
-    // The cached estimate is the interpreter's own cost of the
-    // cached program — schedule-derived, cycle-for-cycle.
-    const accel::RunStats executed =
-        accel::Interpreter(cache.hwConfig()).execute(cp->program);
-    EXPECT_EQ(cp->simEstimate.cycles, executed.cycles);
-    EXPECT_EQ(cp->simEstimate.macs, executed.macs);
+    // The cached estimate is the simulator's price of the task on
+    // the cache's hardware, cycle-for-cycle.
+    const accel::RunStats priced =
+        accel::ViTCoDAccelerator(cache.hwConfig()).runAttention(cp->plan);
+    EXPECT_EQ(cp->simEstimate.cycles, priced.cycles);
+    EXPECT_EQ(cp->simEstimate.macs, priced.macs);
     EXPECT_GT(cp->simEstimate.seconds, 0.0);
     EXPECT_GT(cp->simEstimate.energyJoules(), 0.0);
 }

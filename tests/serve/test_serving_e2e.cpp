@@ -15,7 +15,7 @@
 #include <set>
 #include <vector>
 
-#include "accel/compiler.h"
+#include "accel/vitcod_accel.h"
 #include "dse/pareto.h"
 #include "serve/load_gen.h"
 #include "serve/plan_cache.h"
@@ -55,12 +55,12 @@ TEST(ServingE2E, DeterministicSimAggregatesOnTwoWorkers)
     const PlanKey key = tinyKey();
     constexpr size_t kRequests = 32;
 
-    // Independently computed ground truth: one simulated inference
-    // of the shared Program.
+    // Independently computed ground truth: the simulator's price of
+    // one inference of the task.
     PlanCache reference;
     const auto cp = reference.get(key);
     const double single =
-        accel::Interpreter(accel::ViTCoDConfig{}).execute(cp->program).seconds;
+        accel::ViTCoDAccelerator{}.runAttention(cp->plan).seconds;
     ASSERT_GT(single, 0.0);
 
     auto runOnce = [&](Collector &col) {
@@ -109,9 +109,8 @@ TEST(ServingE2E, DeterministicSimAggregatesOnTwoWorkers)
     EXPECT_NEAR(busy1, static_cast<double>(kRequests) * single,
                 1e-9);
 
-    // Predicted-vs-measured per plan: the ViTCoD backend executes
-    // the schedule's own program, so measurement equals the cached
-    // schedule-derived prediction exactly.
+    // Predicted-vs-measured per plan: the ViTCoD backend charges
+    // the cached schedule-derived prediction, so they agree exactly.
     ASSERT_EQ(snap1.plans.size(), 1u);
     EXPECT_EQ(snap1.plans[0].key, key.str());
     EXPECT_EQ(snap1.plans[0].requests, kRequests);
@@ -150,6 +149,32 @@ TEST(ServingE2E, DeterministicSimAggregatesOnTwoWorkers)
     EXPECT_EQ(cache2.misses, cache1.misses);
 }
 
+TEST(ServingE2E, ViTCoDWorkersChargeThePredictedEndToEndCost)
+{
+    PlanKey key = tinyKey();
+    key.endToEnd = true;
+    const auto cp = PlanCache().get(key);
+    constexpr size_t kRequests = 16;
+
+    ServerConfig cfg;
+    cfg.backends = {"ViTCoD", "ViTCoD"};
+    Collector col;
+    InferenceServer server(cfg, col.callback());
+    server.warmup({key});
+    for (size_t i = 0; i < kRequests; ++i)
+        server.submit(key);
+    server.drain();
+    const auto snap = server.snapshot();
+    server.shutdown();
+
+    // A simulated worker charges exactly what admission predicted.
+    ASSERT_EQ(col.responses.size(), kRequests);
+    for (const auto &r : col.responses)
+        EXPECT_EQ(r.simSeconds, cp->simEstimate.seconds);
+    ASSERT_EQ(snap.plans.size(), 1u);
+    EXPECT_EQ(snap.plans[0].ratio(), 1.0);
+}
+
 TEST(ServingE2E, HeterogeneousPoolServesMixedBurst)
 {
     PlanKey deit = tinyKey();
@@ -174,7 +199,7 @@ TEST(ServingE2E, HeterogeneousPoolServesMixedBurst)
 
     const TrafficReport rep = runPoissonTraffic(server, traffic);
     EXPECT_EQ(rep.submitted, 200u);
-    EXPECT_GT(rep.achievedRps, 0.0);
+    EXPECT_GT(rep.completionRps, 0.0);
 
     const auto snap = server.snapshot();
     EXPECT_EQ(snap.completed, 200u);
@@ -399,7 +424,6 @@ TEST(ServingE2E, TrafficReportSeparatesOfferedAndCompletionRates)
     EXPECT_NEAR(rep.completionRps, 100.0 / rep.durationSeconds,
                 1e-6);
     EXPECT_GE(rep.offeredRps, rep.completionRps);
-    EXPECT_DOUBLE_EQ(rep.achievedRps, rep.completionRps);
 }
 
 } // namespace
