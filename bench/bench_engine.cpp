@@ -7,7 +7,7 @@
  *  - the scalar golden pipeline
  *    spmm(maskedSoftmaxRows(sddmm(q,k,mask))) as the reference,
  *  - the KernelEngine single-threaded once per compiled ISA level
- *    (scalar / NEON / AVX2 / AVX-512, each pinned via
+ *    (scalar / AVX2 / AVX-512, each pinned via
  *    EngineConfig::isa) — one JSON row per (kernel, ISA),
  *  - the KernelEngine over a ThreadPool (--threads N, default 4)
  *    at the auto-resolved ISA,
@@ -42,7 +42,6 @@
 #include "common/rng.h"
 #include "linalg/engine/engine.h"
 #include "linalg/engine/isa/isa.h"
-#include "linalg/engine/kernels_opt.h"
 #include "linalg/engine/thread_pool.h"
 #include "linalg/kernels.h"
 #include "linalg/sparse_kernels.h"
@@ -124,7 +123,6 @@ isaLaunches(const linalg::engine::DispatchStats &st, IsaLevel level)
 {
     switch (level) {
     case IsaLevel::Scalar: return st.isaScalar;
-    case IsaLevel::Neon: return st.isaNeon;
     case IsaLevel::Avx2: return st.isaAvx2;
     case IsaLevel::Avx512: return st.isaAvx512;
     }
@@ -186,7 +184,8 @@ main(int argc, char **argv)
     }
 
     linalg::engine::ThreadPool pool(mt_threads);
-    const KernelEngine optN({.tier = KernelTier::Optimized}, &pool);
+    const KernelEngine optN(
+        {.tier = KernelTier::Optimized, .isa = std::nullopt}, &pool);
 
     const size_t n = 196; // DeiT-Base attention shape
     const size_t d = 64;
@@ -287,18 +286,11 @@ main(int argc, char **argv)
         });
         // Prebuilt layout + preallocated output, exactly like the
         // ModelExecutor request path: the rows measure the kernels,
-        // not the allocator or the engine's structure cache.
-        std::vector<uint32_t> row_ptr, col_idx, col_ptr, row_idx;
-        linalg::engine::maskToCsrStructure(mask, row_ptr, col_idx);
-        const bool use_csc =
-            static_cast<double>(mask.nnz()) <
-            (1.0 - linalg::engine::EngineConfig{}.cscSparsityThreshold) *
-                static_cast<double>(n * n);
-        if (use_csc)
-            linalg::engine::csrToCscStructure(n, n, row_ptr, col_idx,
-                                              col_ptr, row_idx);
-        const linalg::engine::MaskLayoutView layout{
-            n, n, &row_ptr, &col_idx, &col_ptr, &row_idx, use_csc};
+        // not the allocator or the mask scan.
+        const linalg::engine::HeadLayout head_layout =
+            linalg::engine::buildHeadLayout(mask);
+        const linalg::engine::MaskLayoutView layout =
+            head_layout.view(n, n);
         linalg::Matrix attn_out;
         emitGroup("sparse_attn", n, d, sp, mask.nnz(), true, flops,
                   ref_ms, [&](const KernelEngine &eng) {

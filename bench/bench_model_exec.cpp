@@ -88,11 +88,13 @@ main(int argc, char **argv)
 
     linalg::engine::ThreadPool pool(mt_threads);
     const linalg::engine::KernelEngine ref_eng(
-        {.tier = linalg::engine::KernelTier::Reference});
+        {.tier = linalg::engine::KernelTier::Reference, .isa = std::nullopt});
     const linalg::engine::KernelEngine opt1(
-        {.tier = linalg::engine::KernelTier::Optimized});
+        {.tier = linalg::engine::KernelTier::Optimized, .isa = std::nullopt});
     const linalg::engine::KernelEngine optN(
-        {.tier = linalg::engine::KernelTier::Optimized}, &pool);
+        {.tier = linalg::engine::KernelTier::Optimized,
+         .isa = std::nullopt},
+        &pool);
 
     double guard = 0.0;
     for (const std::string &name : models) {
@@ -163,7 +165,7 @@ main(int argc, char **argv)
                 .print();
 
         // Batch amortization row: per-sample latency of a batch-4
-        // forward through the warm arena + mask-structure cache.
+        // forward through the warm arena + prebuilt mask layouts.
         const size_t batch = 4;
         std::vector<linalg::Matrix> inputs(batch, input);
         const double batch_ms = bestMs(reps, [&] {

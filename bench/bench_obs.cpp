@@ -9,13 +9,14 @@
  *  - ns per *enabled* span (ring-buffer record path),
  *  - ns per metrics counter inc / histogram observe,
  *  - the bench_engine hot-loop kernel (sparse_attn, n=196 d=64
- *    sparsity=0.90, single thread) as the denominator for the
- *    overhead claim.
+ *    sparsity=0.90, single thread, through a prebuilt mask layout
+ *    like the ModelExecutor) as the denominator for the overhead
+ *    claim.
  *
  * The gated row is `tracer_overhead`: its `speedup` field is
- * kernel_ns / disabled_span_cost_per_call_ns, where a call pays
- * kSpansPerCall guards (the sparse_attention span plus the sddmm /
- * softmax / spmm spans it dispatches). The acceptance criterion
+ * kernel_ns / disabled_span_cost_per_call_ns, where a call pays one
+ * guard per span it records — counted from one traced call, not
+ * assumed. The acceptance criterion
  * "disabled-tracer overhead <= 1% of the hot loop" is exactly
  * speedup >= 100, which bench/baselines/obs_baseline.json pins as
  * min_speedup. With --smoke the bench also enforces the 1% gate
@@ -38,10 +39,6 @@
 using namespace vitcod;
 
 namespace {
-
-/** Spans executed per sparseAttention call: the wrapping
- *  sparse_attention span plus sddmm, softmax and spmm. */
-constexpr double kSpansPerCall = 4.0;
 
 /** Best-of-R wall time of @p fn over @p iters calls, in ns/call. */
 template <typename Fn>
@@ -133,7 +130,8 @@ main(int argc, char **argv)
     });
 
     // The hot loop the 1% claim is made against: bench_engine's
-    // headline sparse_attn shape on the single-threaded engine.
+    // headline sparse_attn shape on the single-threaded engine,
+    // run from a prebuilt layout as the ModelExecutor runs it.
     const size_t n = 196, d = 64;
     const double sp = 0.9;
     Rng rng(opts.seed);
@@ -141,16 +139,32 @@ main(int argc, char **argv)
     const auto k = linalg::Matrix::randomNormal(n, d, rng);
     const auto val = linalg::Matrix::randomNormal(n, d, rng);
     const auto mask = randomMask(n, sp, rng);
-    const linalg::engine::KernelEngine eng(
-        {.tier = linalg::engine::KernelTier::Optimized});
+    const linalg::engine::HeadLayout layout =
+        linalg::engine::buildHeadLayout(mask);
+    linalg::engine::EngineConfig ecfg;
+    ecfg.tier = linalg::engine::KernelTier::Optimized;
+    const linalg::engine::KernelEngine eng(ecfg);
+    linalg::Matrix out;
+    const auto call = [&] {
+        eng.sparseAttentionInto(q, k, val, mask, layout.view(n, n),
+                                0.125f, out);
+    };
+
+    // Span guards one call passes: what one traced call records.
+    session.start();
+    call();
+    session.stop();
+    const auto spans_per_call =
+        static_cast<double>(session.bufferedEvents());
 
     double guard = 0.0;
     const size_t kreps = opts.smoke ? 5 : 30;
     const double kernel_ns = bestNsPerOp(kreps, 1, [&] {
-        guard += sink(eng.sparseAttention(q, k, val, mask, 0.125f));
+        call();
+        guard += sink(out);
     });
 
-    const double per_call_ns = kSpansPerCall * disabled_ns;
+    const double per_call_ns = spans_per_call * disabled_ns;
     const double overhead_pct = 100.0 * per_call_ns / kernel_ns;
     const double speedup = kernel_ns / per_call_ns;
 
@@ -186,7 +200,7 @@ main(int argc, char **argv)
         .set("sparsity", sp)
         .set("threads", 1)
         .set("kernel_ms", kernel_ns * 1e-6)
-        .set("spans_per_call", kSpansPerCall)
+        .set("spans_per_call", spans_per_call)
         .set("disabled_span_ns", disabled_ns)
         .set("overhead_pct", overhead_pct)
         .set("speedup", speedup)

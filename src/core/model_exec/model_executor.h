@@ -8,8 +8,9 @@
  * Per forward: patch-embedding proxy GEMM, then per layer
  * {LayerNorm, Q/K/V projection GEMMs, per-head sparse attention
  * (SDDMM -> fused masked softmax -> SpMM) in that head's plan-
- * permuted token order using the engine's cached mask structure,
- * output projection, residual, LayerNorm, MLP (GELU), residual},
+ * permuted token order through the Schedule IR's prebuilt mask
+ * layout, output projection, residual, LayerNorm, MLP (GELU),
+ * residual},
  * LeViT-style token pooling + projection at stage transitions, and
  * a final LayerNorm + mean-pool + classifier GEMM. The math is the
  * layer-by-layer composition of ReferenceBlock::forwardSparse —
@@ -18,10 +19,8 @@
  *
  * All activations live in a BufferArena sized once per model:
  * steady-state forwards perform zero activation allocations.
- * forwardBatch() runs a batch back to back through the same arena,
- * so every head's mask-structure lookup after the first sample is
- * an engine cache hit (size structureCacheCapacity >= the model's
- * total head count to keep that true).
+ * Every head's mask layout is built once, when the executor builds
+ * its schedule; no forward scans a mask.
  *
  * An executor owns mutable per-call state (arena, scratch): one
  * executor per thread. The plan and engine are borrowed and must
@@ -102,10 +101,9 @@ class ModelExecutor
 
     /**
      * Batch entry point: runs every input back to back through the
-     * same arena and warm mask-structure cache, amortizing the
-     * per-head structure lookups across the batch. @p trace (when
-     * non-null) accumulates times/dispatch over the whole batch
-     * with batch = inputs.size().
+     * same arena and the schedule's prebuilt mask layouts. @p trace
+     * (when non-null) accumulates times/dispatch over the whole
+     * batch with batch = inputs.size().
      */
     std::vector<linalg::Matrix>
     forwardBatch(const std::vector<linalg::Matrix> &inputs,

@@ -15,7 +15,6 @@
 
 #include "core/pipeline.h"
 #include "core/schedule/schedule.h"
-#include "linalg/engine/engine.h"
 
 namespace vitcod::core::schedule {
 
@@ -23,16 +22,6 @@ namespace vitcod::core::schedule {
 struct BuilderConfig
 {
     HardwareParams hw;
-
-    /**
-     * Mask sparsity at or above which the runtime layout carries the
-     * K-stationary CSC traversal in addition to CSR. Defaults to
-     * the engine's own dispatch threshold (the one source of the
-     * constant), so the executor's CSC/CSR split matches what it
-     * did when the engine built structures itself.
-     */
-    double cscSparsityThreshold =
-        linalg::engine::EngineConfig{}.cscSparsityThreshold;
 
     /**
      * Materialize the runtime CSR/CSC head layouts (an O(mask bits)

@@ -33,6 +33,7 @@
 #include "common/units.h"
 #include "core/schedule/workload.h"
 #include "core/split_conquer.h"
+#include "linalg/engine/layout.h"
 #include "sparse/formats.h"
 
 namespace vitcod::core::schedule {
@@ -77,22 +78,6 @@ struct HardwareParams
     bool operator==(const HardwareParams &) const = default;
 };
 
-/**
- * Compressed visit-order layout of one head's *full* pruned mask:
- * CSR always (the softmax/SpMM order), CSC additionally when the
- * mask is sparse enough for the K-stationary sparser-engine walk.
- * This is what the KernelEngine executes from directly — the mask
- * is scanned exactly once, at schedule build.
- */
-struct HeadLayout
-{
-    std::vector<uint32_t> rowPtr, colIdx; //!< CSR
-    std::vector<uint32_t> colPtr, rowIdx; //!< CSC (useCsc only)
-    bool useCsc = false;
-
-    bool operator==(const HeadLayout &) const = default;
-};
-
 /** One (layer, head) attention schedule. */
 struct HeadSchedule
 {
@@ -106,7 +91,10 @@ struct HeadSchedule
     MacOps sparserMacs = 0;     //!< sparserNnz * dk (per phase)
     Bytes idxBytes = 0;         //!< CSC index stream -> IdxBuf
     uint64_t qGatherMisses = 0; //!< LRU gathers (no Q forwarding)
-    HeadLayout layout;          //!< runtime visit order
+    /** Runtime visit order of the head's full pruned mask, built by
+     *  linalg::engine::buildHeadLayout — the KernelEngine executes
+     *  from it directly, so the mask is scanned once, here. */
+    linalg::engine::HeadLayout layout;
 
     /** Total mask nonzeros (denser + sparser partition). */
     size_t maskNnz() const { return denserNnz + sparserNnz; }

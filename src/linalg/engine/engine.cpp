@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
-#include <list>
-#include <mutex>
-#include <unordered_map>
 
-#include "linalg/engine/kernels_opt.h" //!< mask structure helpers
+#include "linalg/engine/kernels_opt.h" //!< cscValuesToCsr
 #include "linalg/kernels.h"
 #include "linalg/sparse_kernels.h"
 #include "obs/trace.h"
@@ -28,7 +24,6 @@ enum Counter : size_t
     kSpmmRef,
     kSpmmOpt,
     kParallel,
-    kStructHit,
     kStructMiss,
     // Per-ISA launch counters; kIsaFirst + IsaLevel value.
     kIsaFirst,
@@ -41,77 +36,23 @@ referenceVariantName()
     return variantName({KernelTier::Reference, IsaLevel::Scalar});
 }
 
-/** 64-bit content hash of a mask: 8 storage bytes per mix step. */
-uint64_t
-hashMask(const sparse::BitMask &mask)
-{
-    uint64_t h = 0x9e3779b97f4a7c15ULL ^
-                 (mask.rows() * 0x100000001b3ULL + mask.cols());
-    auto mix = [&h](uint64_t x) {
-        h ^= x;
-        h *= 0xff51afd7ed558ccdULL;
-        h ^= h >> 33;
-    };
-    const uint8_t *bytes = mask.data();
-    const size_t n = mask.rows() * mask.cols();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        uint64_t chunk;
-        std::memcpy(&chunk, bytes + i, 8);
-        mix(chunk);
-    }
-    uint64_t tail = 0;
-    for (; i < n; ++i)
-        tail = (tail << 8) | bytes[i];
-    mix(tail);
-    return h;
-}
+/** GEMM cache blocking of the optimized panels. */
+constexpr size_t kGemmKBlock = 64;
+constexpr size_t kGemmJBlock = 256;
+
+/** Auto tier: below this many MACs, the scalar reference runs. */
+constexpr size_t kMinOptimizedMacs = 2048;
 
 } // namespace
 
-/** Compressed structure of one mask, shared across calls. */
-struct KernelEngine::MaskStructure
-{
-    sparse::BitMask mask; //!< copy, for exact verification on hit
-    std::vector<uint32_t> rowPtr, colIdx; //!< CSR
-    std::vector<uint32_t> colPtr, rowIdx; //!< CSC (sparser masks only)
-    bool useCsc = false;
-
-    /** Borrowed layout view of this structure. */
-    MaskLayoutView view() const
-    {
-        return {mask.rows(), mask.cols(), &rowPtr, &colIdx,
-                &colPtr,     &rowIdx,     useCsc};
-    }
-};
-
-/** Content-addressed LRU of MaskStructures. */
-struct KernelEngine::StructureCache
-{
-    struct Entry
-    {
-        std::shared_ptr<const MaskStructure> structure;
-        std::list<uint64_t>::iterator lruIt;
-    };
-
-    std::mutex lock;
-    std::unordered_map<uint64_t, Entry> entries;
-    std::list<uint64_t> lru; //!< front = most recently used
-};
-
 KernelEngine::KernelEngine(EngineConfig cfg, ThreadPool *pool)
     : cfg_(cfg), pool_(pool),
-      cache_(std::make_unique<StructureCache>())
+      kernels_(isa::isaKernelTable(isa::resolveIsa(
+          cfg_.isa, isa::hostCpuFeatures(), std::getenv("VITCOD_ISA"))))
 {
-    const IsaLevel resolved = isa::resolveIsa(
-        cfg_.isa, isa::hostCpuFeatures(), std::getenv("VITCOD_ISA"));
-    kernels_.store(isa::isaKernelTable(resolved),
-                   std::memory_order_relaxed);
     for (auto &c : counters_)
         c.store(0, std::memory_order_relaxed);
 }
-
-KernelEngine::~KernelEngine() = default;
 
 KernelVariant
 KernelEngine::variant() const
@@ -119,28 +60,6 @@ KernelEngine::variant() const
     if (cfg_.tier == KernelTier::Reference)
         return {KernelTier::Reference, IsaLevel::Scalar};
     return {KernelTier::Optimized, isaLevel()};
-}
-
-IsaLevel
-KernelEngine::isaLevel() const
-{
-    return kernels_.load(std::memory_order_relaxed)->level;
-}
-
-IsaLevel
-KernelEngine::forceIsa(IsaLevel level)
-{
-    const IsaLevel applied =
-        isa::resolveIsa(level, isa::hostCpuFeatures(), nullptr);
-    kernels_.store(isa::isaKernelTable(applied),
-                   std::memory_order_relaxed);
-    return applied;
-}
-
-const isa::IsaKernelTable &
-KernelEngine::kernels() const
-{
-    return *kernels_.load(std::memory_order_relaxed);
 }
 
 void
@@ -153,55 +72,8 @@ KernelEngine::noteIsaLaunch(IsaLevel level) const
 const isa::IsaKernelTable &
 KernelEngine::kernelsForLaunch() const
 {
-    const isa::IsaKernelTable &kt = kernels();
-    noteIsaLaunch(kt.level);
-    return kt;
-}
-
-std::shared_ptr<const KernelEngine::MaskStructure>
-KernelEngine::structureFor(const sparse::BitMask &mask) const
-{
-    const uint64_t key =
-        cfg_.structureCacheCapacity ? hashMask(mask) : 0;
-    if (cfg_.structureCacheCapacity) {
-        std::lock_guard<std::mutex> g(cache_->lock);
-        auto it = cache_->entries.find(key);
-        if (it != cache_->entries.end() &&
-            it->second.structure->mask == mask) {
-            cache_->lru.splice(cache_->lru.begin(), cache_->lru,
-                               it->second.lruIt);
-            counters_[kStructHit].fetch_add(1,
-                                            std::memory_order_relaxed);
-            return it->second.structure;
-        }
-    }
-    counters_[kStructMiss].fetch_add(1, std::memory_order_relaxed);
-
-    auto ms = std::make_shared<MaskStructure>();
-    ms->mask = mask;
-    maskToCsrStructure(mask, ms->rowPtr, ms->colIdx);
-    const auto nnz = static_cast<double>(ms->colIdx.size());
-    ms->useCsc = nnz < (1.0 - cfg_.cscSparsityThreshold) *
-                           static_cast<double>(mask.rows() *
-                                               mask.cols());
-    if (ms->useCsc)
-        csrToCscStructure(mask.rows(), mask.cols(), ms->rowPtr,
-                          ms->colIdx, ms->colPtr, ms->rowIdx);
-
-    if (cfg_.structureCacheCapacity) {
-        std::lock_guard<std::mutex> g(cache_->lock);
-        if (!cache_->entries.contains(key)) {
-            cache_->lru.push_front(key);
-            cache_->entries.emplace(
-                key,
-                StructureCache::Entry{ms, cache_->lru.begin()});
-            if (cache_->lru.size() > cfg_.structureCacheCapacity) {
-                cache_->entries.erase(cache_->lru.back());
-                cache_->lru.pop_back();
-            }
-        }
-    }
-    return ms;
+    noteIsaLaunch(kernels_->level);
+    return *kernels_;
 }
 
 size_t
@@ -215,7 +87,7 @@ KernelEngine::useOptimized(size_t macs) const
 {
     if (cfg_.tier)
         return *cfg_.tier == KernelTier::Optimized;
-    return macs >= cfg_.minOptimizedMacs;
+    return macs >= kMinOptimizedMacs;
 }
 
 bool
@@ -259,8 +131,7 @@ KernelEngine::gemmInto(const Matrix &a, const Matrix &b,
                 variantName({KernelTier::Optimized, kt.level}));
     c.resize(a.rows(), b.cols());
     forPanels(a.rows(), macs, [&](size_t r0, size_t r1) {
-        kt.gemmPanel(a, b, c, r0, r1, cfg_.gemmKBlock,
-                     cfg_.gemmJBlock);
+        kt.gemmPanel(a, b, c, r0, r1, kGemmKBlock, kGemmJBlock);
     });
 }
 
@@ -334,66 +205,24 @@ KernelEngine::sddmmInto(const Matrix &q, const Matrix &k,
     }
 }
 
-sparse::Csr
-KernelEngine::sddmm(const Matrix &q, const Matrix &k,
-                    const sparse::BitMask &mask, float scale) const
+bool
+KernelEngine::referenceAttention(const Matrix &q, const Matrix &k,
+                                 const Matrix &v,
+                                 const sparse::BitMask &mask,
+                                 float scale, Matrix &out) const
 {
     // Dense upper bound for dispatch; avoids an extra mask scan.
-    if (!useOptimized(mask.rows() * mask.cols() * q.cols())) {
-        counters_[kSddmmRef].fetch_add(1, std::memory_order_relaxed);
-        return linalg::sddmm(q, k, mask, scale);
-    }
-    const auto ms = structureFor(mask);
-    std::vector<float> values;
-    sddmmInto(q, k, ms->view(), scale, values);
-    return sparse::Csr::fromParts(mask.rows(), mask.cols(), ms->rowPtr,
-                                  ms->colIdx, std::move(values));
-}
-
-sparse::Csr
-KernelEngine::maskedSoftmaxRows(sparse::Csr s) const
-{
-    obs::SpanGuard span("softmax", "engine", "nnz", double(s.nnz()),
-                        "rows", double(s.rows()));
-    if (!useOptimized(s.nnz())) {
-        counters_[kSoftmaxRef].fetch_add(1, std::memory_order_relaxed);
-        span.argStr("variant", referenceVariantName());
-        return linalg::maskedSoftmaxRows(s);
-    }
-    counters_[kSoftmaxOpt].fetch_add(1, std::memory_order_relaxed);
-    const isa::IsaKernelTable &kt = kernelsForLaunch();
-    span.argStr("variant",
-                variantName({KernelTier::Optimized, kt.level}));
-    const auto &row_ptr = s.rowPtr();
-    float *values = s.mutableValues().data();
-    forPanels(s.rows(), s.nnz(), [&](size_t r0, size_t r1) {
-        kt.softmaxCsrPanel(row_ptr, values, r0, r1);
-    });
-    return s;
-}
-
-Matrix
-KernelEngine::spmm(const sparse::Csr &s, const Matrix &v) const
-{
-    const size_t macs = s.nnz() * v.cols();
-    obs::SpanGuard span("spmm", "engine", "nnz", double(s.nnz()),
-                        "macs", double(macs));
-    if (!useOptimized(macs)) {
-        counters_[kSpmmRef].fetch_add(1, std::memory_order_relaxed);
-        span.argStr("variant", referenceVariantName());
-        return linalg::spmm(s, v);
-    }
-    VITCOD_ASSERT(s.cols() == v.rows(), "spmm shape mismatch");
-    counters_[kSpmmOpt].fetch_add(1, std::memory_order_relaxed);
-    const isa::IsaKernelTable &kt = kernelsForLaunch();
-    span.argStr("variant",
-                variantName({KernelTier::Optimized, kt.level}));
-    Matrix out(s.rows(), v.cols());
-    forPanels(s.rows(), macs, [&](size_t r0, size_t r1) {
-        kt.spmmPanel(s.rowPtr(), s.colIdx(), s.values().data(), v, out,
-                     r0, r1);
-    });
-    return out;
+    if (useOptimized(mask.rows() * mask.cols() * q.cols()))
+        return false;
+    counters_[kSddmmRef].fetch_add(1, std::memory_order_relaxed);
+    counters_[kSoftmaxRef].fetch_add(1, std::memory_order_relaxed);
+    counters_[kSpmmRef].fetch_add(1, std::memory_order_relaxed);
+    // Copy-assign (not move): the vector copy reuses @p out's
+    // capacity, keeping arena-backed callers allocation-stable.
+    const Matrix ref = linalg::spmm(
+        linalg::maskedSoftmaxRows(linalg::sddmm(q, k, mask, scale)), v);
+    out = ref;
+    return true;
 }
 
 void
@@ -402,26 +231,12 @@ KernelEngine::sparseAttentionInto(const Matrix &q, const Matrix &k,
                                   const sparse::BitMask &mask,
                                   float scale, Matrix &out) const
 {
-    // Dense upper bound for dispatch; avoids an extra mask scan.
-    const size_t macs_bound = mask.rows() * mask.cols() * q.cols();
-    if (!useOptimized(macs_bound)) {
-        counters_[kSddmmRef].fetch_add(1, std::memory_order_relaxed);
-        counters_[kSoftmaxRef].fetch_add(1, std::memory_order_relaxed);
-        counters_[kSpmmRef].fetch_add(1, std::memory_order_relaxed);
-        // Copy-assign (not move): the vector copy reuses @p out's
-        // capacity, keeping arena-backed callers allocation-stable.
-        const Matrix ref = linalg::spmm(
-            linalg::maskedSoftmaxRows(linalg::sddmm(q, k, mask, scale)),
-            v);
-        out = ref;
+    if (referenceAttention(q, k, v, mask, scale, out))
         return;
-    }
-    VITCOD_ASSERT(mask.cols() == v.rows(), "spmm shape mismatch");
-    // Fused: one (cached) structure, values flow through SDDMM ->
-    // softmax -> SpMM in place — no Csr materialization, no COO
-    // round-trips, no revalidation between stages.
-    const auto ms = structureFor(mask);
-    sparseAttentionOpt(q, k, v, ms->view(), scale, out);
+    counters_[kStructMiss].fetch_add(1, std::memory_order_relaxed);
+    const HeadLayout layout = buildHeadLayout(mask);
+    sparseAttentionOpt(q, k, v, layout.view(mask.rows(), mask.cols()),
+                       scale, out);
 }
 
 void
@@ -430,7 +245,8 @@ KernelEngine::sparseAttentionOpt(const Matrix &q, const Matrix &k,
                                  const MaskLayoutView &layout,
                                  float scale, Matrix &out) const
 {
-    const isa::IsaKernelTable &kt = kernels();
+    VITCOD_ASSERT(layout.cols == v.rows(), "spmm shape mismatch");
+    const isa::IsaKernelTable &kt = *kernels_;
     obs::SpanGuard span("sparse_attention", "engine", "nnz",
                         double(layout.colIdx->size()), "rows",
                         double(layout.rows));
@@ -468,20 +284,11 @@ KernelEngine::sparseAttentionInto(const Matrix &q, const Matrix &k,
                                   const MaskLayoutView &layout,
                                   float scale, Matrix &out) const
 {
-    // Same dispatch bound as the mask-only overload, so a Reference-
-    // pinned or tiny-shape call behaves identically either way.
-    const size_t macs_bound = mask.rows() * mask.cols() * q.cols();
-    if (!useOptimized(macs_bound)) {
-        counters_[kSddmmRef].fetch_add(1, std::memory_order_relaxed);
-        counters_[kSoftmaxRef].fetch_add(1, std::memory_order_relaxed);
-        counters_[kSpmmRef].fetch_add(1, std::memory_order_relaxed);
-        const Matrix ref = linalg::spmm(
-            linalg::maskedSoftmaxRows(linalg::sddmm(q, k, mask, scale)),
-            v);
-        out = ref;
+    // Same reference dispatch as the mask-only overload, so a
+    // Reference-pinned or tiny-shape call behaves identically
+    // either way.
+    if (referenceAttention(q, k, v, mask, scale, out))
         return;
-    }
-    VITCOD_ASSERT(mask.cols() == v.rows(), "spmm shape mismatch");
     VITCOD_ASSERT(layout.rows == mask.rows() &&
                       layout.cols == mask.cols(),
                   "layout does not describe this mask");
@@ -502,10 +309,8 @@ dispatchStatsFields()
         {"spmm_ref", &DispatchStats::spmmReference},
         {"spmm_opt", &DispatchStats::spmmOptimized},
         {"parallel", &DispatchStats::parallelLaunches},
-        {"struct_hit", &DispatchStats::structureHits},
         {"struct_miss", &DispatchStats::structureMisses},
         {"isa_scalar", &DispatchStats::isaScalar},
-        {"isa_neon", &DispatchStats::isaNeon},
         {"isa_avx2", &DispatchStats::isaAvx2},
         {"isa_avx512", &DispatchStats::isaAvx512},
     };

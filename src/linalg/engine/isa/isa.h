@@ -37,12 +37,11 @@ struct CpuFeatures
 {
     bool avx2 = false;   //!< AVX2 and FMA
     bool avx512f = false; //!< AVX-512 Foundation
-    bool neon = false;   //!< ARM Advanced SIMD
 
     bool operator==(const CpuFeatures &) const = default;
 };
 
-/** CPUID (x86) / architecture (ARM) probe of the running host. */
+/** CPUID probe of the running host (no vector levels off x86). */
 CpuFeatures hostCpuFeatures();
 
 /** Whether @p f can execute kernels at @p level. Scalar: always. */
@@ -65,7 +64,7 @@ std::span<const IsaLevel> compiledIsaLevels();
 /**
  * Resolve the ISA level an engine should dispatch to.
  *
- * Precedence: @p forced (EngineConfig::isa / forceIsa()) wins over
+ * Precedence: @p forced (EngineConfig::isa) wins over
  * @p env (`VITCOD_ISA`, may be nullptr / empty / "auto" for "no
  * override"), which wins over auto-detection (the highest compiled
  * level @p f supports). A requested level that is not compiled or

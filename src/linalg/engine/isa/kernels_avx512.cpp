@@ -37,14 +37,84 @@ tailMask(size_t n)
 }
 
 /**
- * Upper 256 bits of @p v using only AVX-512F
- * (_mm512_extractf32x8_ps needs the DQ extension).
+ * @name 256-bit halves of a 512-bit vector
+ * Plain vector shuffles: GCC 12's _mm512_castps512_ps256 and
+ * _mm512_shuffle_f32x4 pass an undefined vector to their builtins
+ * (see kAllLanes in simd_math.h).
+ * @{
  */
+inline __m256
+lower256(__m512 v)
+{
+    return __builtin_shufflevector(v, v, 0, 1, 2, 3, 4, 5, 6, 7);
+}
+
 inline __m256
 upper256(__m512 v)
 {
-    return _mm512_castps512_ps256(
-        _mm512_shuffle_f32x4(v, v, _MM_SHUFFLE(0, 0, 3, 2)));
+    return __builtin_shufflevector(v, v, 8, 9, 10, 11, 12, 13, 14, 15);
+}
+
+inline __m256d
+lower256(__m512d v)
+{
+    return __builtin_shufflevector(v, v, 0, 1, 2, 3);
+}
+
+inline __m256d
+upper256(__m512d v)
+{
+    return __builtin_shufflevector(v, v, 4, 5, 6, 7);
+}
+/** @} */
+
+/**
+ * @name Horizontal reductions
+ * Each keeps the exact tree of GCC's _mm512_reduce_*: hi256 op
+ * lo256, then hi128 op lo128, then the (2,3,0,1) shuffle-op, then
+ * lane0 op lane1 — so outputs stay bitwise what that macro gave,
+ * without its undefined-vector extract.
+ * @{
+ */
+inline float
+reduceAdd(__m512 v)
+{
+    const __m256 s8 = _mm256_add_ps(upper256(v), lower256(v));
+    const __m128 s4 = _mm_add_ps(_mm256_extractf128_ps(s8, 1),
+                                 _mm256_castps256_ps128(s8));
+    const __m128 s2 =
+        _mm_add_ps(s4, _mm_shuffle_ps(s4, s4, _MM_SHUFFLE(1, 0, 3, 2)));
+    return s2[0] + s2[1];
+}
+
+inline float
+reduceMax(__m512 v)
+{
+    const __m256 m8 = _mm256_max_ps(upper256(v), lower256(v));
+    const __m128 m4 = _mm_max_ps(_mm256_extractf128_ps(m8, 1),
+                                 _mm256_castps256_ps128(m8));
+    const __m128 m2 =
+        _mm_max_ps(m4, _mm_shuffle_ps(m4, m4, _MM_SHUFFLE(1, 0, 3, 2)));
+    const __m128 m1 =
+        _mm_max_ps(m2, _mm_shuffle_ps(m2, m2, _MM_SHUFFLE(0, 1, 0, 1)));
+    return m1[0];
+}
+
+inline double
+reduceAdd(__m512d v)
+{
+    const __m256d s4 = _mm256_add_pd(upper256(v), lower256(v));
+    const __m128d s2 = _mm_add_pd(_mm256_extractf128_pd(s4, 1),
+                                  _mm256_castpd256_pd128(s4));
+    return s2[0] + s2[1];
+}
+/** @} */
+
+/** Exact float -> double widening of 8 lanes. */
+inline __m512d
+widen(__m256 v)
+{
+    return _mm512_maskz_cvtps_pd(static_cast<__mmask8>(kAllLanes), v);
 }
 
 /** dot(a, b) over n floats: 2x16 FMA lanes + masked tail. */
@@ -70,13 +140,13 @@ dot(const float *__restrict a, const float *__restrict b, size_t n)
         acc1 = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(m, a + i),
                                _mm512_maskz_loadu_ps(m, b + i), acc1);
     }
-    // _mm512_reduce_add_ps is a fixed tree reduction: deterministic.
-    return _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
+    // reduceAdd is a fixed tree reduction: deterministic.
+    return reduceAdd(_mm512_add_ps(acc0, acc1));
 }
 
 /**
  * Single-accumulator d=64 dot: four 16-lane chunks into one
- * register, reduced with the fixed _mm512_reduce_add_ps tree. Used
+ * register, reduced with the fixed reduceAdd tree. Used
  * for both grouped and tail SDDMM entries so every entry rounds
  * identically however the nnz stream is chunked (CSR and CSC
  * traversals must stay bitwise-equal).
@@ -89,7 +159,7 @@ dot64(const float *__restrict a, const float *__restrict b)
     for (int c = 1; c < 4; ++c)
         acc = _mm512_fmadd_ps(_mm512_loadu_ps(a + 16 * c),
                               _mm512_loadu_ps(b + 16 * c), acc);
-    return _mm512_reduce_add_ps(acc);
+    return reduceAdd(acc);
 }
 
 /**
@@ -126,10 +196,10 @@ sddmmRow64(const float *__restrict stat, const Matrix &moving,
             a2 = _mm512_fmadd_ps(s, _mm512_loadu_ps(m2 + 16 * c), a2);
             a3 = _mm512_fmadd_ps(s, _mm512_loadu_ps(m3 + 16 * c), a3);
         }
-        values[i] = scale * _mm512_reduce_add_ps(a0);
-        values[i + 1] = scale * _mm512_reduce_add_ps(a1);
-        values[i + 2] = scale * _mm512_reduce_add_ps(a2);
-        values[i + 3] = scale * _mm512_reduce_add_ps(a3);
+        values[i] = scale * reduceAdd(a0);
+        values[i + 1] = scale * reduceAdd(a1);
+        values[i + 2] = scale * reduceAdd(a2);
+        values[i + 3] = scale * reduceAdd(a3);
     }
     for (; i < end; ++i)
         values[i] = scale * dot64(stat, moving.rowData(idx[i]));
@@ -268,12 +338,13 @@ softmaxCsrPanelAvx512(const std::vector<uint32_t> &row_ptr,
         __m512 vmax = ninf;
         uint32_t i = 0;
         for (; i + 16 <= n; i += 16)
-            vmax = _mm512_max_ps(vmax, _mm512_loadu_ps(row + i));
+            vmax = _mm512_maskz_max_ps(kAllLanes, vmax,
+                                       _mm512_loadu_ps(row + i));
         if (i < n)
-            vmax = _mm512_max_ps(
-                vmax, _mm512_mask_loadu_ps(ninf, tailMask(n - i),
-                                           row + i));
-        const float max_v = _mm512_reduce_max_ps(vmax);
+            vmax = _mm512_maskz_max_ps(
+                kAllLanes, vmax,
+                _mm512_mask_loadu_ps(ninf, tailMask(n - i), row + i));
+        const float max_v = reduceMax(vmax);
 
         // Exp pass; masked lanes are zeroed after exp so they add
         // nothing to the double-lane sum.
@@ -283,12 +354,8 @@ softmaxCsrPanelAvx512(const std::vector<uint32_t> &row_ptr,
             const __m512 e = expApprox512_ps(
                 _mm512_sub_ps(_mm512_loadu_ps(row + i), vm));
             _mm512_storeu_ps(row + i, e);
-            sum_pd = _mm512_add_pd(
-                sum_pd,
-                _mm512_cvtps_pd(_mm512_castps512_ps256(e)));
-            sum_pd = _mm512_add_pd(
-                sum_pd,
-                _mm512_cvtps_pd(upper256(e)));
+            sum_pd = _mm512_add_pd(sum_pd, widen(lower256(e)));
+            sum_pd = _mm512_add_pd(sum_pd, widen(upper256(e)));
         }
         if (i < n) {
             const __mmask16 m = tailMask(n - i);
@@ -296,14 +363,10 @@ softmaxCsrPanelAvx512(const std::vector<uint32_t> &row_ptr,
                 m, expApprox512_ps(_mm512_sub_ps(
                        _mm512_maskz_loadu_ps(m, row + i), vm)));
             _mm512_mask_storeu_ps(row + i, m, e);
-            sum_pd = _mm512_add_pd(
-                sum_pd,
-                _mm512_cvtps_pd(_mm512_castps512_ps256(e)));
-            sum_pd = _mm512_add_pd(
-                sum_pd,
-                _mm512_cvtps_pd(upper256(e)));
+            sum_pd = _mm512_add_pd(sum_pd, widen(lower256(e)));
+            sum_pd = _mm512_add_pd(sum_pd, widen(upper256(e)));
         }
-        const double sum = _mm512_reduce_add_pd(sum_pd);
+        const double sum = reduceAdd(sum_pd);
 
         // Normalize.
         const auto inv = static_cast<float>(1.0 / sum);

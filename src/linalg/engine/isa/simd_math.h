@@ -76,15 +76,25 @@ expApprox256_ps(__m256 x)
 
 #if defined(__AVX512F__)
 
+/**
+ * Every lane of a 16-lane op. GCC 12 implements the unmasked
+ * AVX-512 intrinsics (_mm512_max_ps, _mm512_roundscale_ps, ...) as
+ * their masked builtins with an *undefined* pass-through vector,
+ * which trips a false -Wmaybe-uninitialized once inlined. The
+ * zero-masking forms with every lane selected compute the same
+ * lanes with a defined pass-through, so AVX-512 code calls those.
+ */
+inline constexpr __mmask16 kAllLanes = 0xFFFF;
+
 /** 16-lane expf approximation (AVX-512F). */
 inline __m512
 expApprox512_ps(__m512 x)
 {
-    x = _mm512_min_ps(x, _mm512_set1_ps(VITCOD_EXP_HI));
-    x = _mm512_max_ps(x, _mm512_set1_ps(VITCOD_EXP_LO));
+    x = _mm512_maskz_min_ps(kAllLanes, x, _mm512_set1_ps(VITCOD_EXP_HI));
+    x = _mm512_maskz_max_ps(kAllLanes, x, _mm512_set1_ps(VITCOD_EXP_LO));
 
-    __m512 n = _mm512_roundscale_ps(
-        _mm512_mul_ps(x, _mm512_set1_ps(VITCOD_LOG2E)),
+    __m512 n = _mm512_maskz_roundscale_ps(
+        kAllLanes, _mm512_mul_ps(x, _mm512_set1_ps(VITCOD_LOG2E)),
         _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
     __m512 r =
         _mm512_fnmadd_ps(n, _mm512_set1_ps(VITCOD_EXP_C1), x);
@@ -100,8 +110,9 @@ expApprox512_ps(__m512 x)
     p = _mm512_add_ps(_mm512_fmadd_ps(p, r2, r),
                       _mm512_set1_ps(1.0f));
 
-    const __m512i bits = _mm512_slli_epi32(
-        _mm512_add_epi32(_mm512_cvtps_epi32(n),
+    const __m512i bits = _mm512_maskz_slli_epi32(
+        kAllLanes,
+        _mm512_add_epi32(_mm512_maskz_cvtps_epi32(kAllLanes, n),
                          _mm512_set1_epi32(0x7f)),
         23);
     return _mm512_mul_ps(p, _mm512_castsi512_ps(bits));

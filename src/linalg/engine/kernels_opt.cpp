@@ -174,58 +174,6 @@ spmmPanel(const std::vector<uint32_t> &row_ptr,
 }
 
 void
-maskToCsrStructure(const sparse::BitMask &mask,
-                   std::vector<uint32_t> &row_ptr,
-                   std::vector<uint32_t> &col_idx)
-{
-    const size_t rows = mask.rows();
-    const size_t cols = mask.cols();
-    // Count pass (vectorizable byte sum per row), then a branchless
-    // fill pass: every cell stores its column, the cursor advances
-    // only on set bits — random masks would mispredict a branch on
-    // nearly every nonzero.
-    row_ptr.assign(rows + 1, 0);
-    for (size_t r = 0; r < rows; ++r) {
-        uint32_t n = 0;
-        for (size_t c = 0; c < cols; ++c)
-            n += mask.get(r, c) ? 1u : 0u;
-        row_ptr[r + 1] = row_ptr[r] + n;
-    }
-    // One lane of slack: the final iteration writes one past the
-    // last nonzero's slot.
-    col_idx.resize(row_ptr[rows] + 1);
-    uint32_t *out = col_idx.data();
-    for (size_t r = 0; r < rows; ++r) {
-        for (size_t c = 0; c < cols; ++c) {
-            *out = static_cast<uint32_t>(c);
-            out += mask.get(r, c) ? 1 : 0;
-        }
-    }
-    col_idx.resize(row_ptr[rows]);
-}
-
-void
-csrToCscStructure(size_t rows, size_t cols,
-                  const std::vector<uint32_t> &row_ptr,
-                  const std::vector<uint32_t> &col_idx,
-                  std::vector<uint32_t> &col_ptr,
-                  std::vector<uint32_t> &row_idx)
-{
-    col_ptr.assign(cols + 1, 0);
-    for (const uint32_t c : col_idx)
-        ++col_ptr[c + 1];
-    for (size_t c = 0; c < cols; ++c)
-        col_ptr[c + 1] += col_ptr[c];
-    row_idx.resize(col_idx.size());
-    std::vector<uint32_t> cursor(col_ptr.begin(), col_ptr.end() - 1);
-    for (size_t r = 0; r < rows; ++r) {
-        const uint32_t end = row_ptr[r + 1];
-        for (uint32_t i = row_ptr[r]; i < end; ++i)
-            row_idx[cursor[col_idx[i]]++] = static_cast<uint32_t>(r);
-    }
-}
-
-void
 cscValuesToCsr(size_t rows, const std::vector<uint32_t> &col_ptr,
                const std::vector<uint32_t> &row_idx,
                const std::vector<float> &csc_values,

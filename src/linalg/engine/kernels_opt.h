@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "linalg/matrix.h"
-#include "sparse/formats.h"
 
 namespace vitcod::linalg::engine {
 
@@ -66,26 +65,6 @@ void softmaxCsrPanel(const std::vector<uint32_t> &row_ptr, float *values,
 void spmmPanel(const std::vector<uint32_t> &row_ptr,
                const std::vector<uint32_t> &col_idx, const float *values,
                const Matrix &v, Matrix &out, size_t r0, size_t r1);
-
-/**
- * CSR structure of @p mask without values: bulk two-pass scan
- * (count, fill), no per-nonzero callback. Returns {row_ptr, col_idx}.
- */
-void maskToCsrStructure(const sparse::BitMask &mask,
-                        std::vector<uint32_t> &row_ptr,
-                        std::vector<uint32_t> &col_idx);
-
-/**
- * CSC structure from an existing CSR structure in O(nnz) (no second
- * mask scan): count column occupancy, prefix-sum, fill. Row indices
- * within each column come out ascending because CSR rows are walked
- * in order.
- */
-void csrToCscStructure(size_t rows, size_t cols,
-                       const std::vector<uint32_t> &row_ptr,
-                       const std::vector<uint32_t> &col_idx,
-                       std::vector<uint32_t> &col_ptr,
-                       std::vector<uint32_t> &row_idx);
 
 /**
  * Scatter CSC-ordered values into CSR order for the same structure:

@@ -109,10 +109,10 @@ class ViTCoDServeBackend : public ServeBackend
  * paper's Fig. 15/17 speedups are about.
  *
  * Per plan key the backend keeps a resident executor (plan copy,
- * deterministic random weights, warm BufferArena + mask-structure
- * cache), so steady-state traffic re-runs a warmed model instead of
- * rebuilding state — the serving analogue of the paper's one-time
- * preprocessing argument. Residency is LRU-bounded
+ * deterministic random weights, warm BufferArena, and the plan's
+ * compiled mask layouts), so steady-state traffic re-runs a warmed
+ * model instead of rebuilding state — the serving analogue of the
+ * paper's one-time preprocessing argument. Residency is LRU-bounded
  * (statesCapacity): unlike the shared PlanCache, this state carries
  * full weight sets (~88 MB for DeiT-Small) per worker, so unbounded
  * growth under many-task traffic would OOM. A backend is owned by

@@ -147,7 +147,7 @@ oracleForward(const core::ModelPlan &plan, const ModelWeights &w,
               const Matrix &patches, size_t num_classes)
 {
     static const KernelEngine ref_eng{
-        {.tier = KernelTier::Reference}};
+        {.tier = KernelTier::Reference, .isa = std::nullopt}};
     const model::VitModelConfig &m = plan.model;
 
     Matrix x = linalg::gemm(patches, w.patchEmbed);
@@ -209,6 +209,7 @@ TEST_P(ModelExecDifferential, MatchesScalarOracle)
 
     ThreadPool pool(4);
     const KernelEngine opt({.tier = KernelTier::Optimized,
+                            .isa = std::nullopt,
                             .rowPanel = 8,
                             .minParallelMacs = 1},
                            &pool);
@@ -275,6 +276,7 @@ TEST(ModelExecutor, BitwiseDeterministicAcrossParallelRuns)
 
     ThreadPool pool(4);
     const KernelEngine opt({.tier = KernelTier::Optimized,
+                            .isa = std::nullopt,
                             .rowPanel = 8,
                             .minParallelMacs = 1},
                            &pool);
@@ -299,7 +301,8 @@ TEST(ModelExecutor, MaskScanHappensOnlyAtScheduleBuild)
     Rng rng(13);
     const ModelWeights w = ModelWeights::random(m, 0, 4, rng);
 
-    const KernelEngine opt({.tier = KernelTier::Optimized});
+    const KernelEngine opt(
+        {.tier = KernelTier::Optimized, .isa = std::nullopt});
     ModelExecutor exec(&plan, ModelWeights(w),
                        ExecutorConfig{.numClasses = 4}, &opt);
 
@@ -312,10 +315,9 @@ TEST(ModelExecutor, MaskScanHappensOnlyAtScheduleBuild)
     (void)exec.forwardBatch(inputs, &trace);
     // Execution runs from the Schedule IR's prebuilt layouts: the
     // masks were scanned exactly once, at schedule build, and the
-    // engine's structure cache sees zero traffic on the request
-    // path — for any batch size.
+    // engine builds no layout on the request path — for any batch
+    // size.
     EXPECT_EQ(trace.dispatch.structureMisses, 0u);
-    EXPECT_EQ(trace.dispatch.structureHits, 0u);
     EXPECT_GT(trace.dispatch.sddmmCsr + trace.dispatch.sddmmCsc, 0u);
 
     // The schedule the executor built carries every head's layout.
@@ -343,7 +345,9 @@ TEST(ModelExecutor, MultiStagePyramidMatchesOracle)
 
     ThreadPool pool(2);
     const KernelEngine opt(
-        {.tier = KernelTier::Optimized, .minParallelMacs = 1},
+        {.tier = KernelTier::Optimized,
+         .isa = std::nullopt,
+         .minParallelMacs = 1},
         &pool);
     ModelExecutor exec(&plan, ModelWeights(w),
                        ExecutorConfig{.numClasses = num_classes},
@@ -361,7 +365,8 @@ TEST(ModelExecutor, ForwardAndBatchAgreeBitwise)
     const auto plan = buildModelPlan(m, makePipelineConfig(0.9, false));
     Rng rng(31);
     const ModelWeights w = ModelWeights::random(m, 0, 4, rng);
-    const KernelEngine opt({.tier = KernelTier::Optimized});
+    const KernelEngine opt(
+        {.tier = KernelTier::Optimized, .isa = std::nullopt});
     ModelExecutor exec(&plan, ModelWeights(w),
                        ExecutorConfig{.numClasses = 4}, &opt);
 
@@ -380,7 +385,8 @@ TEST(ModelExecutor, ForwardAndBatchAgreeBitwise)
 // thread (shared ThreadPool included) is alive at fork time.
 TEST(ModelExecutorDeath, MissingHeadPlanPanics)
 {
-    const KernelEngine eng({.tier = KernelTier::Reference});
+    const KernelEngine eng(
+        {.tier = KernelTier::Reference, .isa = std::nullopt});
     const auto m = testModel(2, 3, 32);
     auto plan = buildModelPlan(m, makePipelineConfig(0.9, false));
     plan.heads.pop_back();
@@ -393,7 +399,8 @@ TEST(ModelExecutorDeath, MissingHeadPlanPanics)
 
 TEST(ModelExecutorDeath, WrongInputShapePanics)
 {
-    const KernelEngine eng({.tier = KernelTier::Reference});
+    const KernelEngine eng(
+        {.tier = KernelTier::Reference, .isa = std::nullopt});
     const auto m = testModel(2, 3, 32);
     const auto plan = buildModelPlan(m, makePipelineConfig(0.9, false));
     Rng rng(41);

@@ -161,7 +161,7 @@ TEST(ModelExecGolden, TraceWithoutHeadRecordsRoundTrips)
         buildModelPlan(model, makePipelineConfig(0.9, false));
     Rng rng(5);
     const linalg::engine::KernelEngine eng(
-        {.tier = linalg::engine::KernelTier::Optimized});
+        {.tier = linalg::engine::KernelTier::Optimized, .isa = std::nullopt});
     ModelExecutor exec(
         &plan, ModelWeights::random(model, 0, 8, rng),
         ExecutorConfig{.numClasses = 8, .collectHeadTraces = false},

@@ -5,7 +5,9 @@
  * fused sparse attention, parallel panels) must reproduce the scalar
  * golden kernels within a small ulp budget, across random masks
  * spanning sparsity 0.50-0.98, and produce bitwise identical results
- * across repeated parallel runs.
+ * across repeated parallel runs. The per-kernel cases call each
+ * ISA's panels through its kernel table (isa::isaKernelTable); the
+ * fused cases go through the KernelEngine.
  *
  * The whole differential suite is value-parameterized over every ISA
  * level compiled into this binary (isa::compiledIsaLevels()); levels
@@ -23,6 +25,8 @@
 #include "common/rng.h"
 #include "linalg/engine/engine.h"
 #include "linalg/engine/isa/isa.h"
+#include "linalg/engine/kernels_opt.h"
+#include "linalg/engine/layout.h"
 #include "linalg/engine/thread_pool.h"
 #include "linalg/kernels.h"
 #include "linalg/sparse_kernels.h"
@@ -33,6 +37,7 @@ namespace {
 
 using engine::DispatchStats;
 using engine::EngineConfig;
+using engine::HeadLayout;
 using engine::IsaLevel;
 using engine::KernelEngine;
 using engine::KernelTier;
@@ -119,7 +124,6 @@ isaLaunches(const DispatchStats &st, IsaLevel level)
 {
     switch (level) {
     case IsaLevel::Scalar: return st.isaScalar;
-    case IsaLevel::Neon: return st.isaNeon;
     case IsaLevel::Avx2: return st.isaAvx2;
     case IsaLevel::Avx512: return st.isaAvx512;
     }
@@ -146,7 +150,17 @@ class KernelEngineIsa : public ::testing::TestWithParam<IsaLevel>
     EngineConfig
     optCfg() const
     {
-        return {.tier = KernelTier::Optimized, .isa = GetParam()};
+        EngineConfig cfg;
+        cfg.tier = KernelTier::Optimized;
+        cfg.isa = GetParam();
+        return cfg;
+    }
+
+    /** The parameterized ISA's panel table. */
+    const engine::isa::IsaKernelTable &
+    panels() const
+    {
+        return *engine::isa::isaKernelTable(GetParam());
     }
 };
 
@@ -158,47 +172,72 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(engine::isaName(info.param));
     });
 
-TEST_P(KernelEngineIsa, SddmmMatchesOracleAcrossSparsities)
+TEST_P(KernelEngineIsa, SddmmPanelsMatchOracleAcrossSparsities)
 {
-    const KernelEngine opt(optCfg());
+    // Both traversals of every mask: the row-stationary CSR panel
+    // and the K-stationary CSC panel scattered back to CSR order.
+    const auto &kt = panels();
     Rng rng(7);
     const auto q = Matrix::randomNormal(196, 64, rng);
     const auto k = Matrix::randomNormal(196, 64, rng);
     for (double sp : kSparsities) {
         const auto mask = randomMask(196, sp, rng);
         const auto ref = sddmm(q, k, mask, 0.125f);
-        const auto got = opt.sddmm(q, k, mask, 0.125f);
-        expectCsrClose(got, ref, "sddmm");
+        const auto csc = sparse::Csc::fromMask(mask);
+
+        std::vector<float> csr_vals(ref.nnz());
+        kt.sddmmCsrPanel(q, k, ref.rowPtr(), ref.colIdx(),
+                         csr_vals.data(), 0, 196, 0.125f);
+        expectCsrClose(sparse::Csr::fromParts(196, 196, ref.rowPtr(),
+                                              ref.colIdx(), csr_vals),
+                       ref, "sddmm csr");
+
+        std::vector<float> csc_vals(ref.nnz()), scattered;
+        kt.sddmmCscPanel(q, k, csc.colPtr(), csc.rowIdx(),
+                         csc_vals.data(), 0, 196, 0.125f);
+        engine::cscValuesToCsr(196, csc.colPtr(), csc.rowIdx(),
+                               csc_vals, ref.rowPtr(), scattered);
+        expectCsrClose(sparse::Csr::fromParts(196, 196, ref.rowPtr(),
+                                              ref.colIdx(), scattered),
+                       ref, "sddmm csc");
     }
 }
 
-TEST_P(KernelEngineIsa, CscAndCsrSddmmPathsAgreeBitwise)
+TEST_P(KernelEngineIsa, CscAndCsrLayoutsAgreeBitwise)
 {
-    // Same dot inner loop, different traversal order: results must
-    // be bitwise identical per ISA, not merely close.
-    EngineConfig cfg = optCfg();
-    cfg.cscSparsityThreshold = 0.0;
-    const KernelEngine always_csc(cfg);
-    cfg.cscSparsityThreshold = 2.0;
-    const KernelEngine never_csc(cfg);
+    // Both layouts of the same mask, built independently of
+    // buildHeadLayout: same dot inner loop, different traversal
+    // order, so the fused outputs must be bitwise identical per
+    // ISA, not merely close.
+    const KernelEngine opt(optCfg());
     Rng rng(11);
     const auto q = Matrix::randomNormal(128, 48, rng);
     const auto k = Matrix::randomNormal(128, 48, rng);
-    for (double sp : {0.6, 0.9}) {
+    const auto v = Matrix::randomNormal(128, 48, rng);
+    for (double sp : {0.6, 0.9, 0.98}) {
         const auto mask = randomMask(128, sp, rng);
-        const auto a = always_csc.sddmm(q, k, mask, 1.0f);
-        const auto b = never_csc.sddmm(q, k, mask, 1.0f);
-        EXPECT_EQ(a.values(), b.values());
-        EXPECT_EQ(a.colIdx(), b.colIdx());
+        const auto csr = sparse::Csr::fromMask(mask);
+        const auto csc = sparse::Csc::fromMask(mask);
+        HeadLayout with_csc{csr.rowPtr(), csr.colIdx(), csc.colPtr(),
+                            csc.rowIdx(), true};
+        HeadLayout csr_only = with_csc;
+        csr_only.useCsc = false;
+
+        Matrix a, b;
+        opt.sparseAttentionInto(q, k, v, mask, with_csc.view(128, 128),
+                                1.0f, a);
+        opt.sparseAttentionInto(q, k, v, mask, csr_only.view(128, 128),
+                                1.0f, b);
+        EXPECT_TRUE(a == b) << "sparsity " << sp;
     }
-    EXPECT_GT(always_csc.stats().sddmmCsc, 0u);
-    EXPECT_GT(never_csc.stats().sddmmCsr, 0u);
-    EXPECT_EQ(always_csc.stats().sddmmCsr, 0u);
+    EXPECT_EQ(opt.stats().sddmmCsc, 3u);
+    EXPECT_EQ(opt.stats().sddmmCsr, 3u);
+    EXPECT_EQ(opt.stats().structureMisses, 0u);
 }
 
-TEST_P(KernelEngineIsa, MaskedSoftmaxMatchesOracle)
+TEST_P(KernelEngineIsa, SoftmaxPanelMatchesOracle)
 {
-    const KernelEngine opt(optCfg());
+    const auto &kt = panels();
     Rng rng(13);
     const auto q = Matrix::randomNormal(196, 64, rng);
     const auto k = Matrix::randomNormal(196, 64, rng);
@@ -206,7 +245,10 @@ TEST_P(KernelEngineIsa, MaskedSoftmaxMatchesOracle)
         const auto mask = randomMask(196, sp, rng);
         const auto s = sddmm(q, k, mask, 0.125f);
         const auto ref = maskedSoftmaxRows(s);
-        const auto got = opt.maskedSoftmaxRows(s);
+        std::vector<float> vals = s.values();
+        kt.softmaxCsrPanel(s.rowPtr(), vals.data(), 0, 196);
+        const auto got = sparse::Csr::fromParts(
+            196, 196, s.rowPtr(), s.colIdx(), std::move(vals));
         expectCsrClose(got, ref, "maskedSoftmax");
         // Rows must still sum to 1.
         for (size_t r = 1; r < got.rows(); ++r) {
@@ -221,9 +263,9 @@ TEST_P(KernelEngineIsa, MaskedSoftmaxMatchesOracle)
     }
 }
 
-TEST_P(KernelEngineIsa, SpmmMatchesOracle)
+TEST_P(KernelEngineIsa, SpmmPanelMatchesOracle)
 {
-    const KernelEngine opt(optCfg());
+    const auto &kt = panels();
     Rng rng(17);
     const auto q = Matrix::randomNormal(196, 64, rng);
     const auto k = Matrix::randomNormal(196, 64, rng);
@@ -231,7 +273,10 @@ TEST_P(KernelEngineIsa, SpmmMatchesOracle)
     for (double sp : kSparsities) {
         const auto mask = randomMask(196, sp, rng);
         const auto s = maskedSoftmaxRows(sddmm(q, k, mask, 0.125f));
-        expectMatrixClose(opt.spmm(s, v), spmm(s, v), "spmm");
+        Matrix got(196, 64);
+        kt.spmmPanel(s.rowPtr(), s.colIdx(), s.values().data(), v, got,
+                     0, 196);
+        expectMatrixClose(got, spmm(s, v), "spmm");
     }
 }
 
@@ -339,10 +384,12 @@ TEST_P(KernelEngineIsa, VariantAndLaunchCountersReportThisIsa)
     // Fused attention = one SDDMM + one softmax + one SpMM launch,
     // all on the pinned ISA.
     EXPECT_EQ(isaLaunches(st, GetParam()), 3u);
-    for (IsaLevel other : engine::isa::compiledIsaLevels())
-        if (other != GetParam())
+    for (IsaLevel other : engine::isa::compiledIsaLevels()) {
+        if (other != GetParam()) {
             EXPECT_EQ(isaLaunches(st, other), 0u)
                 << engine::isaName(other);
+        }
+    }
 }
 
 TEST_P(KernelEngineIsa, EmptyAndFullMasksAreHandled)
@@ -371,7 +418,9 @@ TEST(KernelEngine, AutoTierDispatchesBySize)
     // ISA pinned to Scalar so the counter assertions below are
     // host-independent; the Auto-picks-highest-ISA behavior is
     // covered by test_isa_dispatch.cpp.
-    const KernelEngine eng({.isa = IsaLevel::Scalar});
+    EngineConfig cfg;
+    cfg.isa = IsaLevel::Scalar;
+    const KernelEngine eng(cfg);
     Rng rng(37);
     // Tiny: reference path.
     const auto a_small = Matrix::randomNormal(4, 4, rng);
@@ -393,26 +442,45 @@ TEST(KernelEngine, AutoTierDispatchesBySize)
 
 TEST(KernelEngine, ReferenceTierPinsTheOracle)
 {
-    const KernelEngine ref({.tier = KernelTier::Reference});
+    EngineConfig cfg;
+    cfg.tier = KernelTier::Reference;
+    const KernelEngine ref(cfg);
     EXPECT_EQ(ref.variant(),
               (engine::KernelVariant{KernelTier::Reference,
                                      IsaLevel::Scalar}));
     Rng rng(41);
     const auto q = Matrix::randomNormal(64, 32, rng);
     const auto k = Matrix::randomNormal(64, 32, rng);
+    const auto v = Matrix::randomNormal(64, 32, rng);
     const auto mask = randomMask(64, 0.9, rng);
-    const auto a = ref.sddmm(q, k, mask, 1.0f);
-    const auto b = sddmm(q, k, mask, 1.0f);
-    EXPECT_EQ(a.values(), b.values());
-    EXPECT_EQ(ref.stats().sddmmReference, 1u);
-    EXPECT_EQ(ref.stats().sddmmCsr + ref.stats().sddmmCsc, 0u);
+    const Matrix oracle =
+        spmm(maskedSoftmaxRows(sddmm(q, k, mask, 1.0f)), v);
+
+    // Both overloads share the fused reference dispatch: bitwise
+    // the oracle, no optimized launch, no layout built.
+    const HeadLayout layout = engine::buildHeadLayout(mask);
+    Matrix via_layout;
+    ref.sparseAttentionInto(q, k, v, mask, layout.view(64, 64), 1.0f,
+                            via_layout);
+    EXPECT_TRUE(ref.sparseAttention(q, k, v, mask, 1.0f) == oracle);
+    EXPECT_TRUE(via_layout == oracle);
+    const DispatchStats st = ref.stats();
+    EXPECT_EQ(st.sddmmReference, 2u);
+    EXPECT_EQ(st.softmaxReference, 2u);
+    EXPECT_EQ(st.spmmReference, 2u);
+    EXPECT_EQ(st.sddmmCsr + st.sddmmCsc + st.softmaxOptimized +
+                  st.spmmOptimized,
+              0u);
+    EXPECT_EQ(st.isaScalar + st.isaAvx2 + st.isaAvx512, 0u);
+    EXPECT_EQ(st.structureMisses, 0u);
 }
 
-TEST(KernelEngine, ForceIsaRetargetsALiveEngine)
+TEST(KernelEngine, IsaPinAtConstructionFixesTheTable)
 {
-    KernelEngine eng({.tier = KernelTier::Optimized});
-    const IsaLevel applied = eng.forceIsa(IsaLevel::Scalar);
-    EXPECT_EQ(applied, IsaLevel::Scalar);
+    EngineConfig cfg;
+    cfg.tier = KernelTier::Optimized;
+    cfg.isa = IsaLevel::Scalar;
+    const KernelEngine eng(cfg);
     EXPECT_EQ(eng.isaLevel(), IsaLevel::Scalar);
 
     Rng rng(47);
@@ -421,11 +489,39 @@ TEST(KernelEngine, ForceIsaRetargetsALiveEngine)
     (void)eng.gemm(a, b);
     EXPECT_EQ(eng.stats().isaScalar, 1u);
 
-    // Forcing the host's best level is always satisfiable exactly.
+    // Pinning the host's best level is always satisfiable exactly.
     const IsaLevel best = engine::isa::resolveIsa(
         std::nullopt, engine::isa::hostCpuFeatures(), nullptr);
-    EXPECT_EQ(eng.forceIsa(best), best);
-    EXPECT_EQ(eng.variant().isa, best);
+    cfg.isa = best;
+    EXPECT_EQ(KernelEngine(cfg).variant().isa, best);
+}
+
+TEST(KernelEngine, MaskOnlyCallBuildsOneLayoutPerCall)
+{
+    // The engine keeps no per-mask state: every optimized mask-only
+    // call builds its layout, a repeat of the same mask included,
+    // and matches the layout overload bitwise.
+    EngineConfig cfg;
+    cfg.tier = KernelTier::Optimized;
+    const KernelEngine eng(cfg);
+    Rng rng(53);
+    const auto q = Matrix::randomNormal(96, 32, rng);
+    const auto k = Matrix::randomNormal(96, 32, rng);
+    const auto v = Matrix::randomNormal(96, 32, rng);
+    const auto mask = randomMask(96, 0.9, rng);
+
+    const Matrix first = eng.sparseAttention(q, k, v, mask, 0.25f);
+    EXPECT_EQ(eng.stats().structureMisses, 1u);
+    const Matrix repeat = eng.sparseAttention(q, k, v, mask, 0.25f);
+    EXPECT_EQ(eng.stats().structureMisses, 2u);
+    EXPECT_TRUE(first == repeat);
+
+    const HeadLayout layout = engine::buildHeadLayout(mask);
+    Matrix via_layout;
+    eng.sparseAttentionInto(q, k, v, mask, layout.view(96, 96), 0.25f,
+                            via_layout);
+    EXPECT_EQ(eng.stats().structureMisses, 2u);
+    EXPECT_TRUE(via_layout == first);
 }
 
 TEST(KernelEngine, DispatchStatsDifferenceIsCounterWise)

@@ -5,7 +5,7 @@
  * auto-detect), downward clamping on unsupported/uncompiled levels,
  * name parsing, the kernel-table registry, and the engine-facing
  * behavior (construction-time env pickup, Auto picking the host's
- * best level, forceIsa clamping). resolveIsa is a pure function of
+ * best level, config-pin clamping). resolveIsa is a pure function of
  * (forced, CpuFeatures, env), so every precedence and clamping case
  * runs with mocked CPU features and env strings — no real CPUID, no
  * setenv.
@@ -28,12 +28,21 @@ namespace {
 constexpr CpuFeatures kNoSimd{};
 constexpr CpuFeatures kAvx2Only{.avx2 = true};
 constexpr CpuFeatures kAvx512Host{.avx2 = true, .avx512f = true};
-constexpr CpuFeatures kNeonHost{.neon = true};
+
+/** Optimized-tier engine config, ISA pinned to @p isa when set. */
+EngineConfig
+optimized(std::optional<IsaLevel> isa = std::nullopt)
+{
+    EngineConfig cfg;
+    cfg.tier = KernelTier::Optimized;
+    cfg.isa = isa;
+    return cfg;
+}
 
 TEST(IsaNames, ParseAcceptsKnownNamesCaseInsensitive)
 {
     EXPECT_EQ(parseIsaName("scalar"), IsaLevel::Scalar);
-    EXPECT_EQ(parseIsaName("neon"), IsaLevel::Neon);
+    EXPECT_EQ(parseIsaName("neon"), std::nullopt);
     EXPECT_EQ(parseIsaName("avx2"), IsaLevel::Avx2);
     EXPECT_EQ(parseIsaName("avx512"), IsaLevel::Avx512);
     EXPECT_EQ(parseIsaName("AVX2"), IsaLevel::Avx2);
@@ -46,8 +55,7 @@ TEST(IsaNames, ParseAcceptsKnownNamesCaseInsensitive)
 
 TEST(IsaNames, RoundTripThroughIsaName)
 {
-    for (IsaLevel l : {IsaLevel::Scalar, IsaLevel::Neon, IsaLevel::Avx2,
-                       IsaLevel::Avx512})
+    for (IsaLevel l : {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512})
         EXPECT_EQ(parseIsaName(isaName(l)), l);
 }
 
@@ -64,7 +72,7 @@ TEST(IsaNames, VariantNamesAreStable)
 
 TEST(CpuSupport, ScalarRunsEverywhere)
 {
-    for (const auto &f : {kNoSimd, kAvx2Only, kAvx512Host, kNeonHost})
+    for (const auto &f : {kNoSimd, kAvx2Only, kAvx512Host})
         EXPECT_TRUE(cpuSupports(f, IsaLevel::Scalar));
 }
 
@@ -75,8 +83,6 @@ TEST(CpuSupport, VectorLevelsRequireTheirFeatures)
     // AVX-512 kernels also use 256-bit double lanes: require AVX2.
     EXPECT_FALSE(cpuSupports(kAvx2Only, IsaLevel::Avx512));
     EXPECT_TRUE(cpuSupports(kAvx512Host, IsaLevel::Avx512));
-    EXPECT_FALSE(cpuSupports(kAvx512Host, IsaLevel::Neon));
-    EXPECT_TRUE(cpuSupports(kNeonHost, IsaLevel::Neon));
 }
 
 TEST(Registry, ScalarTableIsAlwaysCompiledAndComplete)
@@ -95,8 +101,8 @@ TEST(Registry, ScalarTableIsAlwaysCompiledAndComplete)
 
 TEST(Registry, CompiledLevelsHaveCompleteTablesUncompiledHaveNone)
 {
-    for (IsaLevel l : {IsaLevel::Scalar, IsaLevel::Neon, IsaLevel::Avx2,
-                       IsaLevel::Avx512}) {
+    for (IsaLevel l :
+         {IsaLevel::Scalar, IsaLevel::Avx2, IsaLevel::Avx512}) {
         const IsaKernelTable *t = isaKernelTable(l);
         if (isaCompiled(l)) {
             ASSERT_NE(t, nullptr) << isaName(l);
@@ -130,30 +136,33 @@ TEST(ResolveIsa, AutoPicksHighestCompiledSupportedLevel)
 
     const IsaLevel avx512 =
         resolveIsa(std::nullopt, kAvx512Host, nullptr);
-    if (isaCompiled(IsaLevel::Avx512))
+    if (isaCompiled(IsaLevel::Avx512)) {
         EXPECT_EQ(avx512, IsaLevel::Avx512);
-    else
+    } else {
         EXPECT_EQ(avx512, isaCompiled(IsaLevel::Avx2)
                               ? IsaLevel::Avx2
                               : IsaLevel::Scalar);
+    }
 }
 
 TEST(ResolveIsa, ForcedLevelWinsOverEnvAndDetection)
 {
     EXPECT_EQ(resolveIsa(IsaLevel::Scalar, kAvx512Host, "avx2"),
               IsaLevel::Scalar);
-    if (isaCompiled(IsaLevel::Avx2))
+    if (isaCompiled(IsaLevel::Avx2)) {
         EXPECT_EQ(resolveIsa(IsaLevel::Avx2, kAvx512Host, "scalar"),
                   IsaLevel::Avx2);
+    }
 }
 
 TEST(ResolveIsa, EnvWinsOverDetection)
 {
     EXPECT_EQ(resolveIsa(std::nullopt, kAvx512Host, "scalar"),
               IsaLevel::Scalar);
-    if (isaCompiled(IsaLevel::Avx2))
+    if (isaCompiled(IsaLevel::Avx2)) {
         EXPECT_EQ(resolveIsa(std::nullopt, kAvx512Host, "avx2"),
                   IsaLevel::Avx2);
+    }
 }
 
 TEST(ResolveIsa, EmptyAutoOrBadEnvFallsBackToDetection)
@@ -180,10 +189,6 @@ TEST(ResolveIsa, UnsupportedRequestClampsDownNeverUp)
               IsaLevel::Scalar);
     EXPECT_EQ(resolveIsa(IsaLevel::Avx2, kNoSimd, nullptr),
               IsaLevel::Scalar);
-    // NEON requested on an x86 host: nothing at or below it but
-    // Scalar (the enum orders Neon below Avx2 on purpose).
-    EXPECT_EQ(resolveIsa(IsaLevel::Neon, kAvx512Host, nullptr),
-              IsaLevel::Scalar);
 }
 
 TEST(ResolveIsa, EnvRequestAboveHostClampsDown)
@@ -198,19 +203,18 @@ TEST(IsaEngine, EngineConstructionHonorsVitcodIsaEnv)
     // always satisfiable, making this assertion host-independent.
     ASSERT_EQ(setenv("VITCOD_ISA", "scalar", /*overwrite=*/1), 0);
     {
-        const KernelEngine eng({.tier = KernelTier::Optimized});
+        const KernelEngine eng(optimized());
         EXPECT_EQ(eng.isaLevel(), IsaLevel::Scalar);
     }
     // Config pin beats the env.
     if (isaCompiled(IsaLevel::Avx2) &&
         cpuSupports(hostCpuFeatures(), IsaLevel::Avx2)) {
-        const KernelEngine pinned({.tier = KernelTier::Optimized,
-                                   .isa = IsaLevel::Avx2});
+        const KernelEngine pinned(optimized(IsaLevel::Avx2));
         EXPECT_EQ(pinned.isaLevel(), IsaLevel::Avx2);
     }
     ASSERT_EQ(unsetenv("VITCOD_ISA"), 0);
 
-    const KernelEngine eng({.tier = KernelTier::Optimized});
+    const KernelEngine eng(optimized());
     EXPECT_EQ(eng.isaLevel(),
               resolveIsa(std::nullopt, hostCpuFeatures(), nullptr));
 }
@@ -219,7 +223,7 @@ TEST(IsaEngine, AutoEngineRunsTheHostsBestLevel)
 {
     const IsaLevel best =
         resolveIsa(std::nullopt, hostCpuFeatures(), nullptr);
-    const KernelEngine eng({.tier = KernelTier::Optimized});
+    const KernelEngine eng(optimized());
     EXPECT_EQ(eng.variant(),
               (KernelVariant{KernelTier::Optimized, best}));
 
@@ -228,28 +232,27 @@ TEST(IsaEngine, AutoEngineRunsTheHostsBestLevel)
     const auto b = Matrix::randomNormal(64, 64, rng);
     (void)eng.gemm(a, b);
     const DispatchStats st = eng.stats();
-    const uint64_t launches = st.isaScalar + st.isaNeon + st.isaAvx2 +
-                              st.isaAvx512;
+    const uint64_t launches = st.isaScalar + st.isaAvx2 + st.isaAvx512;
     EXPECT_EQ(launches, 1u);
     switch (best) {
     case IsaLevel::Scalar: EXPECT_EQ(st.isaScalar, 1u); break;
-    case IsaLevel::Neon: EXPECT_EQ(st.isaNeon, 1u); break;
     case IsaLevel::Avx2: EXPECT_EQ(st.isaAvx2, 1u); break;
     case IsaLevel::Avx512: EXPECT_EQ(st.isaAvx512, 1u); break;
     }
 }
 
-TEST(IsaEngine, ForceIsaClampsAndReportsTheAppliedLevel)
+TEST(IsaEngine, ConfigPinClampsAndReportsTheAppliedLevel)
 {
-    KernelEngine eng({.tier = KernelTier::Optimized});
     // Scalar is always applicable exactly.
-    EXPECT_EQ(eng.forceIsa(IsaLevel::Scalar), IsaLevel::Scalar);
-    // Re-forcing whatever resolved at construction round-trips.
+    EXPECT_EQ(KernelEngine(optimized(IsaLevel::Scalar)).isaLevel(),
+              IsaLevel::Scalar);
+    // Pinning whatever auto-detection resolves round-trips.
     const IsaLevel best =
         resolveIsa(std::nullopt, hostCpuFeatures(), nullptr);
-    EXPECT_EQ(eng.forceIsa(best), best);
+    EXPECT_EQ(KernelEngine(optimized(best)).isaLevel(), best);
     // A level the host can't run clamps to something it can.
-    const IsaLevel applied = eng.forceIsa(IsaLevel::Avx512);
+    const IsaLevel applied =
+        KernelEngine(optimized(IsaLevel::Avx512)).isaLevel();
     EXPECT_TRUE(cpuSupports(hostCpuFeatures(), applied));
     EXPECT_LE(applied, IsaLevel::Avx512);
 }

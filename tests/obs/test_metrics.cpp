@@ -75,8 +75,9 @@ TEST(Metrics, BucketGridIsFixedAndMonotonic)
     for (double v : {1e-6, 1e-3, 0.5, 1.0, 123.0, 7e8}) {
         const size_t b = Histogram::bucketOf(v);
         EXPECT_GE(Histogram::bucketUpperBound(b), v);
-        if (b > 1)
+        if (b > 1) {
             EXPECT_LT(Histogram::bucketUpperBound(b - 1), v);
+        }
     }
 }
 

@@ -12,11 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 
+#include "common/rng.h"
 #include "core/pipeline.h"
 #include "core/schedule/builder.h"
+#include "linalg/engine/engine.h"
+#include "model/vit_config.h"
 
 namespace vitcod::core::schedule {
 namespace {
@@ -119,6 +123,48 @@ TEST(ScheduleBuilder, Deterministic)
     const ModelSchedule s2 = b.build(plan, true);
     std::string why;
     EXPECT_TRUE(structurallyEqual(s1, s2, &why)) << why;
+}
+
+TEST(ScheduleBuilder, DeiTTinyLayoutsAreTheSharedBuildersOutput)
+{
+    // Every head of DeiT-Tiny at 90% and 95% sparsity: the schedule
+    // carries exactly buildHeadLayout's layout, and the engine's
+    // mask-only overload (one layout built per call) returns the
+    // layout overload's output bit for bit.
+    const auto m = model::modelByName("DeiT-Tiny");
+    linalg::engine::EngineConfig cfg;
+    cfg.tier = linalg::engine::KernelTier::Optimized;
+    const linalg::engine::KernelEngine eng(cfg);
+    for (double sp : {0.90, 0.95}) {
+        const auto plan = planFor(m, sp, false);
+        const ModelSchedule s = ScheduleBuilder().build(plan, false);
+        Rng rng(17);
+        size_t heads = 0;
+        for (const LayerSchedule &ls : s.layers) {
+            const size_t n = ls.shape.tokens;
+            const size_t dk = ls.shape.headDim;
+            const auto scale = static_cast<float>(
+                1.0 / std::sqrt(static_cast<double>(dk)));
+            const auto q = linalg::Matrix::randomNormal(n, dk, rng);
+            const auto k = linalg::Matrix::randomNormal(n, dk, rng);
+            const auto v = linalg::Matrix::randomNormal(n, dk, rng);
+            for (const HeadSchedule &hs : ls.heads) {
+                const auto &mask = plan.planOf(ls.layer, hs.head).mask;
+                EXPECT_EQ(hs.layout, linalg::engine::buildHeadLayout(mask))
+                    << "layer " << ls.layer << " head " << hs.head;
+                linalg::Matrix mask_only, via_layout;
+                eng.sparseAttentionInto(q, k, v, mask, scale, mask_only);
+                eng.sparseAttentionInto(q, k, v, mask,
+                                        hs.layout.view(n, n), scale,
+                                        via_layout);
+                EXPECT_TRUE(mask_only == via_layout)
+                    << "layer " << ls.layer << " head " << hs.head;
+                ++heads;
+            }
+        }
+        EXPECT_EQ(heads, m.totalLayers() * 3);
+    }
+    EXPECT_EQ(eng.stats().structureMisses, 2 * m.totalLayers() * 3);
 }
 
 TEST(ScheduleSerialization, RoundTripsEverything)

@@ -64,12 +64,11 @@ TEST(ModelExecServeBackend, KeepsResidentExecutorAndTraces)
         EXPECT_EQ(lt.heads, 3u);
 
     // Second batch reuses the resident executor, which runs from
-    // the plan's compiled Schedule IR: the engine's structure cache
-    // sees no traffic at all — the masks were scanned exactly once,
-    // when the PlanCache built the schedule.
+    // the plan's compiled Schedule IR: the engine builds no layout
+    // — the masks were scanned exactly once, when the PlanCache
+    // built the schedule.
     (void)backend.runBatch(*cp, 2);
     EXPECT_EQ(backend.lastTrace().dispatch.structureMisses, 0u);
-    EXPECT_EQ(backend.lastTrace().dispatch.structureHits, 0u);
     EXPECT_GT(backend.lastTrace().dispatch.sddmmCsr +
                   backend.lastTrace().dispatch.sddmmCsc,
               0u);

@@ -387,8 +387,9 @@ TEST(ServingE2E, AdmissionShedsUnderRealtimeOverload)
     // Deprioritized (grace-band) requests carry the demoted
     // priority and the flag end to end.
     for (const auto &r : col.responses) {
-        if (r.deprioritized)
+        if (r.deprioritized) {
             EXPECT_EQ(r.priority, -cfg.admission.deprioritizeDelta);
+        }
     }
 
     // Backlog fully retired once everything admitted completed.
